@@ -1,7 +1,7 @@
 package bench
 
 import repro.eval.{Constraints, Tables}
-import repro.fst.{FstCompiler, FstSimulator}
+import repro.fst.{BlowUpException, FstCompiler, FstSimulator}
 
 /** Tab. IV — candidate subsequence statistics. Shape checks: the battery
   * spans selective (CSPI ~1–10: N1, N2, N3) to loose (CSPI in the hundreds+:
@@ -21,7 +21,7 @@ class TableIVBench extends BenchBase {
     val bcF = spark.sparkContext.broadcast(fst)
     val counts = db.sequences.map { t =>
       try FstSimulator.candidates(t, bcF.value, bcD.value, maxFid, cap).size.toLong
-      catch { case _: IllegalStateException => cap.toLong }
+      catch { case _: BlowUpException => cap.toLong }
     }.filter(_ > 0).collect()
     if (counts.isEmpty) 0.0 else counts.sum.toDouble / counts.length
   }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.dict.Dictionary
-import repro.fst.{Fst, FstCompiler, FstSimulator}
+import repro.fst.{BlowUpException, Fst, FstCompiler, FstSimulator}
 
 /** Brute-force reference miner: enumerates `Gσπ(T)` for every sequence by
   * explicit run enumeration and Cartesian products, then counts supports.
@@ -32,7 +32,7 @@ object BruteForce {
     val maxFid = dict.maxFrequentFid(sigma)
     db.map { t =>
       try FstSimulator.candidates(t, fst, dict, maxFid, cap).size.toLong
-      catch { case _: IllegalStateException => cap.toLong } // capped, reported as >= cap
+      catch { case _: BlowUpException => cap.toLong } // capped, reported as >= cap
     }
   }
 }

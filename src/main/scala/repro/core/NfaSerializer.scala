@@ -33,8 +33,9 @@ object NfaSerializer {
 
   def serialize(nfa: Nfa): Bytes = {
     val tokens = new mutable.ArrayBuilder.ofInt
-    val visitId = mutable.HashMap.empty[Int, Int] // original state -> DFS id
+    val visitId = Array.fill(nfa.numStates)(-1) // original state -> DFS id
     visitId(0) = 0
+    var visited = 1
     var cursor = 0 // DFS id of the previous transition's target (start: root)
 
     def dfs(q: Int): Unit = {
@@ -45,18 +46,18 @@ object NfaSerializer {
         tokens += label.length
         var prev = 0
         for (w <- label) { tokens += (w - prev); prev = w }
-        visitId.get(t) match {
-          case Some(tid) =>
-            tokens += TagTgt; tokens += tid
-            cursor = tid
-          case None =>
-            val tid = visitId.size
-            visitId(t) = tid
-            if (nfa.isFinal(t)) tokens += TagFinal
-            cursor = tid
-            dfs(t)
-            // cursor stays wherever the subtree left it — the deserializer
-            // performs the identical update, so implicit sources stay in sync.
+        if (visitId(t) >= 0) {
+          tokens += TagTgt; tokens += visitId(t)
+          cursor = visitId(t)
+        } else {
+          val tid = visited
+          visitId(t) = tid
+          visited += 1
+          if (nfa.isFinal(t)) tokens += TagFinal
+          cursor = tid
+          dfs(t)
+          // cursor stays wherever the subtree left it — the deserializer
+          // performs the identical update, so implicit sources stay in sync.
         }
       }
     }

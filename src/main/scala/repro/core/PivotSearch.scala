@@ -40,18 +40,49 @@ object PivotSearch {
     out.result()
   }
 
-  /** Pivot items of a single run (Th. 1): fold `⊕` over the run's σ-filtered
-    * output sets. Returns empty if the run generates no all-frequent candidate.
-    * Used directly by D-CAND and by tests; D-SEQ uses the grid DP instead.
+  /** Pivot items of a single run (Th. 1), in closed form. Folding `⊕` over
+    * the run's σ-filtered output sets keeps exactly the items `>= L`, where
+    * `L` is the largest of the sets' smallest items (ε = 0 counts as an item
+    * here). So `K(r)` is every frequent non-ε item `>= L` of the run; it is
+    * empty if some set has no frequent item. Two passes, no allocation per
+    * step. Used directly by D-CAND and by tests; D-SEQ uses the grid DP.
     */
   def pivotsOfRun(run: FstSimulator.Run, maxFid: Int): Array[Int] = {
-    var acc: Array[Int] = Array(0) // ε seed: identity of ⊕
-    for (outSet <- run) {
-      val o = filterFrequent(outSet, maxFid)
-      if (o.isEmpty) return Array.empty
-      acc = oplus(acc, o)
+    val cap = if (maxFid < 0) Int.MaxValue else maxFid
+    var lo = 0 // L
+    var i = 0
+    while (i < run.length) {
+      val os = run(i)
+      if (os.isEmpty || os(0) > cap) return Array.emptyIntArray
+      if (os(0) > lo) lo = os(0)
+      i += 1
     }
-    acc.filter(_ != 0)
+    val out = new mutable.ArrayBuilder.ofInt
+    i = 0
+    while (i < run.length) {
+      val os = run(i)
+      var j = 0
+      while (j < os.length && os(j) <= cap) {
+        if (os(j) >= lo && os(j) != 0) out += os(j)
+        j += 1
+      }
+      i += 1
+    }
+    val ks = out.result()
+    java.util.Arrays.sort(ks)
+    distinctSorted(ks)
+  }
+
+  /** Drops repeats from a sorted array, in place when there are any. */
+  private def distinctSorted(a: Array[Int]): Array[Int] = {
+    if (a.length < 2) return a
+    var n = 1
+    var i = 1
+    while (i < a.length) {
+      if (a(i) != a(n - 1)) { a(n) = a(i); n += 1 }
+      i += 1
+    }
+    if (n == a.length) a else java.util.Arrays.copyOf(a, n)
   }
 
   private def filterFrequent(outSet: Array[Int], maxFid: Int): Array[Int] =
@@ -63,14 +94,11 @@ object PivotSearch {
     * @param stateChange   per position: does any surviving grid edge change state?
     * @param minOutput     per position: smallest frequent non-ε item producible
     *                      by any surviving grid edge (Int.MaxValue if none)
-    * @param pivotPositions per pivot k: sorted positions at which some surviving
-    *                      grid edge can output k (for D-SEQ's early stopping)
     */
   final case class GridResult(
       pivots: Array[Int],
       stateChange: Array[Boolean],
-      minOutput: Array[Int],
-      pivotPositions: Map[Int, Array[Int]]
+      minOutput: Array[Int]
   ) {
     /** First/last relevant position for pivot `k` (Sec. V-B): relevant means
       * state-changing or able to produce output usable in a pivot-k sequence.
@@ -87,7 +115,7 @@ object PivotSearch {
 
   /** Run the position–state grid DP (Fig. 5b) for sequence `t`:
     * compute `K(i, q)` for all grid coordinates on accepting runs and derive
-    * `K(T)`, per-position relevance data, and pivot output positions.
+    * `K(T)` and per-position relevance data.
     *
     * `maxFid` is the largest frequent fid (σ boundary); items above it are
     * excluded from output sets, runs forced through an all-infrequent output
@@ -102,7 +130,6 @@ object PivotSearch {
 
     val stateChange = new Array[Boolean](n)
     val minOutput = Array.fill(n)(Int.MaxValue)
-    val pivotPos = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
 
     var i = 0
     while (i < n) {
@@ -123,12 +150,6 @@ object PivotSearch {
                 val firstNonEps = if (o(0) == 0) { if (o.length > 1) o(1) else 0 } else o(0)
                 if (firstNonEps != 0 && firstNonEps < minOutput(i))
                   minOutput(i) = firstNonEps
-                var j = 0
-                while (j < o.length) {
-                  if (o(j) != 0)
-                    pivotPos.getOrElseUpdate(o(j), mutable.ArrayBuffer.empty) += i
-                  j += 1
-                }
               }
             }
           }
@@ -145,11 +166,7 @@ object PivotSearch {
         pivots = mergeDistinct(pivots, K(n)(q))
       q += 1
     }
-    pivots = pivots.filter(_ != 0)
-    val pp = pivots.iterator.map { k =>
-      k -> pivotPos.getOrElse(k, mutable.ArrayBuffer.empty).distinct.sorted.toArray
-    }.toMap
-    GridResult(pivots, stateChange, minOutput, pp)
+    GridResult(pivots.filter(_ != 0), stateChange, minOutput)
   }
 
   /** `K(T)` — the pivot items of `t` (Eq. 1), σ-filtered. */

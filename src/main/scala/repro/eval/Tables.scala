@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.SparkSession
 import repro.core.{BruteForce, DesqDfs, Drivers, Pattern}
 import repro.data.{SeqDB, SeqData}
-import repro.fst.{FstCompiler, FstSimulator}
+import repro.fst.{BlowUpException, FstCompiler, FstSimulator}
 import repro.util.Metrics
 
 /** Harnesses that regenerate the paper's evaluation tables on the synthetic
@@ -91,7 +91,7 @@ object Tables {
       val bcFst = spark.sparkContext.broadcast(fst)
       val counts = db.sequences.map { t =>
         try FstSimulator.candidates(t, bcFst.value, bcDict.value, maxFid, cap).size.toLong
-        catch { case _: IllegalStateException => cap.toLong }
+        catch { case _: BlowUpException => cap.toLong }
       }.collect()
       val nSeq = counts.length
       val matched = counts.count(_ > 0)
@@ -191,7 +191,7 @@ object Tables {
             }
             f"${m.wallMillis / 1e3}%8.1f s ${m.shuffleWriteBytes / 1024.0}%10.0f KB ${m.result}%8d"
           } catch {
-            case e: Exception if causeChain(e).exists(_.isInstanceOf[IllegalStateException]) =>
+            case e: Exception if BlowUpException.inCauseChain(e) =>
               "     n/a (blow-up, OOM analog)"
           }
         f"${c.name}%-14s ${algo}%-11s $res"
@@ -199,7 +199,4 @@ object Tables {
     }
     ("Constraint     algo          time      shuffle     #freq\n" + rows.mkString("\n"))
   }
-
-  private def causeChain(e: Throwable): List[Throwable] =
-    if (e == null) Nil else e :: causeChain(e.getCause)
 }

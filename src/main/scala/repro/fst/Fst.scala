@@ -55,9 +55,7 @@ object OutOp {
 }
 
 /** One consuming FST transition `(from, in, out, to)`. */
-final case class Transition(from: Int, in: InPred, out: OutOp, to: Int) extends Serializable {
-  def label: (InPred, OutOp) = (in, out)
-}
+final case class Transition(from: Int, in: InPred, out: OutOp, to: Int) extends Serializable
 
 /** A compressed (ε-free) finite state transducer, per Sec. IV of the paper.
   *
@@ -79,10 +77,6 @@ final class Fst(
   }
 
   def numTransitions: Int = transitions.length
-
-  /** Transitions from `q` that match input item `t`. */
-  def matching(q: Int, t: Int, dict: Dictionary): Array[Transition] =
-    byState(q).filter(_.in.matches(t, dict))
 
   override def toString: String = {
     val fs = isFinal.zipWithIndex.collect { case (true, q) => q }.mkString(",")

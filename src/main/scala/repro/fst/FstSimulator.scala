@@ -75,8 +75,8 @@ object FstSimulator {
 
   /** Stream all accepting runs of `t` (as sequences of output sets) to `f`
     * without materializing them. Exponential in general — `maxRuns` guards
-    * against blow-up (the paper's naive/D-CAND OOM cases surface here as an
-    * IllegalStateException).
+    * against blow-up (the paper's naive/D-CAND OOM cases surface here as a
+    * [[BlowUpException]]).
     */
   def foreachAcceptingRun(t: Array[Int], fst: Fst, dict: Dictionary,
                           maxRuns: Int = 1 << 20)(f: Run => Unit): Unit = {
@@ -89,7 +89,7 @@ object FstSimulator {
         if (fst.isFinal(q)) {
           count += 1
           if (count > maxRuns)
-            throw new IllegalStateException(s"more than $maxRuns accepting runs")
+            throw new BlowUpException(s"more than $maxRuns accepting runs")
           f(cur.clone().toIndexedSeq)
         }
         return
@@ -124,7 +124,7 @@ object FstSimulator {
       for (prefix <- acc; w <- outSet) {
         next += (if (w == 0) prefix else prefix :+ w)
         if (next.size > maxCands)
-          throw new IllegalStateException(s"more than $maxCands candidates in one run")
+          throw new BlowUpException(s"more than $maxCands candidates in one run")
       }
       acc = next.toSet
     }
@@ -150,7 +150,7 @@ object FstSimulator {
       filtered.foreach { r =>
         res ++= candidatesOfRun(r, maxCands)
         if (res.size > maxCands)
-          throw new IllegalStateException(s"more than $maxCands candidates")
+          throw new BlowUpException(s"more than $maxCands candidates")
       }
     }
     res.toSet

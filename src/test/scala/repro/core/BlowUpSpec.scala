@@ -1,0 +1,39 @@
+package repro.core
+
+import org.apache.spark.SparkException
+import repro.SparkSpec
+import repro.Ex._
+import repro.fst.{BlowUpException, FstCompiler}
+
+/** Run and candidate caps surface as [[BlowUpException]], and only that type
+  * is reported as "capped".
+  */
+class BlowUpSpec extends SparkSpec {
+
+  private lazy val fst = FstCompiler.compile(piEx, dict)
+
+  test("a D-CAND map over the run cap throws BlowUpException") {
+    intercept[BlowUpException](Nfa.buildForSequence(T1, fst, dict, dict.maxFrequentFid(1), maxRuns = 1))
+  }
+
+  test("D-CAND on Spark over the run cap fails with a BlowUpException cause") {
+    val sc = spark.sparkContext
+    val e = intercept[SparkException] {
+      Drivers.dCand(sc, sc.parallelize(db, 2), dict, piEx, 1, maxRuns = 1).collect()
+    }
+    assert(BlowUpException.inCauseChain(e), e.toString)
+  }
+
+  test("candidate caps count as capped in BruteForce.candidateCounts") {
+    val counts = BruteForce.candidateCounts(db, fst, 1, dict, cap = 2)
+    val full = BruteForce.candidateCounts(db, fst, 1, dict)
+    assert(counts == full.map(c => math.min(c, 2L)))
+    assert(full.exists(_ > 2))
+  }
+
+  test("an unrelated IllegalStateException is not reported as a blow-up") {
+    assert(!BlowUpException.inCauseChain(new IllegalStateException("unrelated")))
+    assert(!BlowUpException.inCauseChain(new SparkException("job failed", new IllegalStateException("x"))))
+    assert(BlowUpException.inCauseChain(new SparkException("job failed", new BlowUpException("capped"))))
+  }
+}

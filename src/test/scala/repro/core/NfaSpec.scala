@@ -104,12 +104,35 @@ class NfaSpec extends AnyFunSuite {
     assert(b1 == b2 && b1.hashCode == b2.hashCode)
   }
 
+  test("golden bytes: serialized running-example NFAs at pivot a1 (σ=2) are pinned") {
+    // Recorded from the List/Set-keyed trie and minimizer; the serialized NFA
+    // is D-CAND's aggregation key, so it must not drift.
+    val maxFid = dict.maxFrequentFid(2)
+    val golden = Seq(
+      (T1, true, Seq(0, 1, 4, 0, 1, 3, 0, 1, 1, 3, 1, 1, 0, 1, 1, 2, 3)),
+      (T1, false, Seq(0, 1, 4, 0, 1, 3, 0, 1, 1, 3, 1, 1, 0, 1, 1, 3)),
+      (T2, true, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 0, 1, 1, 2, 2)),
+      (T2, false, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 0, 1, 1, 3)),
+      (T5, true, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 0, 1, 1, 2, 2)),
+      (T5, false, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 0, 1, 1, 3)))
+    for ((t, minimize, bytes) <- golden) {
+      val nfa = Nfa.buildForSequence(t, fst, dict, maxFid, minimize = minimize)(a1)
+      assert(NfaSerializer.serialize(nfa).bytes.toSeq == bytes.map(_.toByte),
+        s"${t.map(dict.name).mkString(" ")} minimize=$minimize")
+    }
+  }
+
   test("trie inserts dedupe runs generating identical output-set sequences") {
-    val trie = new Nfa.Trie
-    trie.insert(Seq(Array(a1), Array(b)))
-    trie.insert(Seq(Array(a1), Array(b)))
-    val nfa = trie.toNfa
+    val nfa = NfaGen.trieOf(Seq(Seq(Array(a1), Array(b)), Seq(Array(a1), Array(b))))
     assert(nfa.numStates == 3 && nfa.numEdges == 2)
+  }
+
+  test("trie children keep insertion order and states are numbered BFS") {
+    val nfa = NfaGen.trieOf(Seq(
+      Seq(Array(c), Array(b)), Seq(Array(a1)), Seq(Array(c), Array(A, d))))
+    assert(nfa.edges(0).map { case (l, t) => (l.toSeq, t) }.toSeq == Seq((Seq(c), 1), (Seq(a1), 2)))
+    assert(nfa.edges(1).map { case (l, t) => (l.toSeq, t) }.toSeq == Seq((Seq(b), 3), (Seq(A, d), 4)))
+    assert(nfa.isFinal.toSeq == Seq(false, false, true, true, true))
   }
 
   // ------------------------------------------- randomized round-trip checks
@@ -118,13 +141,9 @@ class NfaSpec extends AnyFunSuite {
     test(s"random tries: minimize + serialize preserve the language [seed=$seed]") {
       val r = new Random(seed)
       for (_ <- 0 until 30) {
-        val trie = new Nfa.Trie
-        val nRuns = 1 + r.nextInt(6)
-        for (_ <- 0 until nRuns) {
-          val len = 1 + r.nextInt(4)
-          trie.insert(Seq.fill(len)(Array.fill(1 + r.nextInt(3))(1 + r.nextInt(5)).distinct.sorted))
-        }
-        val raw = trie.toNfa
+        val raw = NfaGen.trieOf(Seq.fill(1 + r.nextInt(6)) {
+          Seq.fill(1 + r.nextInt(4))(Array.fill(1 + r.nextInt(3))(1 + r.nextInt(5)).distinct.sorted)
+        })
         val min = Nfa.minimize(raw)
         assert(min.language() == raw.language())
         assert(min.numStates <= raw.numStates)
