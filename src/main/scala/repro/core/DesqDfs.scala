@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.dict.Dictionary
-import repro.fst.{Fst, FstSimulator, Transition}
+import repro.fst.{Fst, FstSimulator}
 
 import scala.collection.mutable
 
@@ -15,20 +15,28 @@ import scala.collection.mutable
   * rest of `T` producing only ε (precomputed per `(pos, state)`).
   *
   * With `pivot = Some(k)` the miner runs D-SEQ's restricted local mining:
-  * prefixes use only items `<= k`, only sequences containing `k` are emitted,
-  * and the early-stopping heuristic skips snapshots that are past the last
-  * position of `T` able to output `k` while the prefix lacks `k`.
+  * prefixes use only items `<= k` and only sequences containing `k` are
+  * emitted. Pivot pruning keeps, while the prefix lacks `k`, only snapshots
+  * from which some accepting run can still output `k` (a backward DP over
+  * `(pos, state)`); such a run is the only way a snapshot can add to a
+  * pivot-`k` pattern, so the pruning is exact.
   *
   * The unrestricted variant (`pivot = None`) is the sequential DESQ-DFS
   * baseline of Tab. V.
   */
 object DesqDfs {
 
+  /** Limits of the projected-database entry, which packs `(tid, pos, state)`
+    * into one `Long` with 21 bits for the position and 10 for the state.
+    */
+  val MaxFstStates = 1024
+  val MaxSequenceLength = (1 << 21) - 1
+
   /** Mine `db` (sequences with multiplicities) for frequent subsequences.
     *
     * @param maxFid    largest frequent fid (σ boundary on items)
     * @param pivot     if set, mine only pivot sequences for this item
-    * @param earlyStop enable the early-stopping heuristic (pivot mode only)
+    * @param earlyStop enable pivot pruning (pivot mode only)
     */
   def mine(
       db: IndexedSeq[(Array[Int], Long)],
@@ -39,90 +47,90 @@ object DesqDfs {
       pivot: Option[Int] = None,
       earlyStop: Boolean = true
   ): Map[Pattern, Long] = {
-    val n = db.length
-    if (n == 0) return Map.empty
-    val itemCap = pivot.fold(maxFid)(k => math.min(k, maxFid))
+    if (db.isEmpty) return Map.empty
+    require(fst.numStates <= MaxFstStates,
+      s"DESQ-DFS supports FSTs of at most $MaxFstStates states; this FST has ${fst.numStates}")
+    val maxLen = db.iterator.map(_._1.length).max
+    require(maxLen <= MaxSequenceLength,
+      s"DESQ-DFS supports sequences of at most $MaxSequenceLength items; got one of $maxLen")
+    val itemCap = pivot.fold(maxFid)(math.min(_, maxFid))
+    if (pivot.exists(_ > itemCap)) return Map.empty // an infrequent pivot is in no frequent pattern
+    new Search(db, fst, dict, sigma, itemCap, pivot.getOrElse(0), pivot.isDefined && earlyStop, maxLen).run()
+  }
 
-    // Per-sequence precomputation.
-    val seqs = new Array[Array[Int]](n)
-    val weights = new Array[Long](n)
-    val reach = new Array[Array[Array[Boolean]]](n)
-    val epsReach = new Array[Array[Array[Boolean]]](n)
-    val lastPivotPos = Array.fill(n)(Int.MaxValue)
+  /** One mining run: the per-sequence DPs, flat over `pos * S + state`, and
+    * the scratch state of the depth-first search.
+    *
+    * @param k     the pivot, or 0 (ε, never an output item) when unrestricted
+    * @param prune pivot pruning on
+    */
+  private final class Search(
+      db: IndexedSeq[(Array[Int], Long)], fst: Fst, dict: Dictionary,
+      sigma: Long, itemCap: Int, k: Int, prune: Boolean, maxLen: Int
+  ) {
+    private val s = fst.numStates
+    private val seqs = db.map(_._1).toArray
+    private val weights = db.map(_._2).toArray
+    private val reach = seqs.map(FstSimulator.reachFinal(_, fst, dict))
+    private val epsReach = seqs.map(epsilonReach(_, fst, dict))
+    // Can an accepting run from (pos, state) still output k? Only with pruning.
+    private val pivotReach =
+      if (prune) Array.tabulate(seqs.length)(tid => canOutput(seqs(tid), k, itemCap, fst, dict, reach(tid)))
+      else null
 
-    var maxLen = 0
-    var tid = 0
-    while (tid < n) {
-      val (t, w) = db(tid)
-      seqs(tid) = t; weights(tid) = w
-      maxLen = math.max(maxLen, t.length)
-      reach(tid) = FstSimulator.reachFinal(t, fst, dict)
-      epsReach(tid) = epsilonReach(t, fst, dict)
-      pivot.foreach { k =>
-        if (earlyStop) lastPivotPos(tid) = lastPositionProducing(t, k, fst, dict, reach(tid))
-      }
-      tid += 1
+    private val results = mutable.HashMap.empty[Pattern, Long]
+    private val prefix = mutable.ArrayBuffer.empty[Int]
+
+    // ε-DFS visited set: (pos, state) was visited for the current snapshot
+    // group iff its stamp equals `epoch`.
+    private val stamp = new Array[Int]((maxLen + 1) * s)
+    private var epoch = 0
+
+    // Scratch state of the node being expanded and of its current sequence.
+    private var children: mutable.LongMap[mutable.ArrayBuilder.ofLong] = _
+    private var pruning = false
+    private var tid = 0
+    private var seq: Array[Int] = _
+    private var seqReach: Array[Boolean] = _
+    private var seqPivotReach: Array[Boolean] = _
+
+    @inline private def enc(tid: Int, pos: Int, q: Int): Long = (tid.toLong << 31) | (pos.toLong << 10) | q
+    @inline private def decTid(e: Long): Int = (e >>> 31).toInt
+    @inline private def decPos(e: Long): Int = ((e >>> 10) & 0x1FFFFF).toInt
+    @inline private def decQ(e: Long): Int = (e & 0x3FF).toInt
+
+    def run(): Map[Pattern, Long] = {
+      val root = new mutable.ArrayBuilder.ofLong
+      for (t <- seqs.indices if !prune || pivotReach(t)(fst.initial)) root += enc(t, 0, fst.initial)
+      expand(root.result(), hasPivot = false)
+      results.toMap
     }
 
-    require(fst.numStates <= 1024, "entry encoding supports at most 1024 FST states")
-    require(maxLen < (1 << 21), "entry encoding supports sequences up to 2^21 items")
-    @inline def enc(tid: Int, pos: Int, q: Int): Long = (tid.toLong << 31) | (pos.toLong << 10) | q
-    @inline def decTid(e: Long): Int = (e >>> 31).toInt
-    @inline def decPos(e: Long): Int = ((e >>> 10) & 0x1FFFFF).toInt
-    @inline def decQ(e: Long): Int = (e & 0x3FF).toInt
-
-    val results = mutable.HashMap.empty[Pattern, Long]
-    val prefix = mutable.ArrayBuffer.empty[Int]
-
-    /** Expand the node with the given projected database entries. */
-    def expand(entries: Array[Long], hasPivot: Boolean): Unit = {
-      // item -> child entries (deduplicated, in tid order since we process
-      // parent entries in tid order)
-      val children = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Long]]
-      val seen = mutable.HashSet.empty[(Int, Long)] // (item, entry) dedup
-      var lastDfsTid = -1
-      var visited: mutable.HashSet[Int] = null // ε-DFS memo per tid: pos<<10|q
-
+    /** Expand the node whose projected database is `entries` (in tid order). */
+    private def expand(entries: Array[Long], hasPivot: Boolean): Unit = {
+      val kids = mutable.LongMap.empty[mutable.ArrayBuilder.ofLong]
+      children = kids
+      pruning = prune && !hasPivot
       var ei = 0
       while (ei < entries.length) {
         val e = entries(ei)
-        val etid = decTid(e)
-        if (etid != lastDfsTid) { visited = mutable.HashSet.empty[Int]; lastDfsTid = etid }
-        val skip = !hasPivot && pivot.isDefined && earlyStop && decPos(e) > lastPivotPos(etid)
-        if (!skip) dfs(etid, decPos(e), decQ(e))
+        if (ei == 0 || decTid(e) != tid) {
+          tid = decTid(e)
+          seq = seqs(tid)
+          seqReach = reach(tid)
+          if (pruning) seqPivotReach = pivotReach(tid)
+          if (epoch == Int.MaxValue) { java.util.Arrays.fill(stamp, 0); epoch = 0 }
+          epoch += 1
+        }
+        dfs(decPos(e), decQ(e))
         ei += 1
       }
 
-      def dfs(tid: Int, i: Int, q: Int): Unit = {
-        val key = (i << 10) | q
-        if (!visited.add(key)) return
-        val t = seqs(tid)
-        if (i >= t.length) return
-        val item = t(i)
-        val ts = fst.byState(q)
-        var j = 0
-        while (j < ts.length) {
-          val tr = ts(j)
-          if (tr.in.matches(item, dict) && reach(tid)(i + 1)(tr.to)) {
-            val outs = tr.out.outputs(item, dict)
-            var oi = 0
-            while (oi < outs.length) {
-              val w = outs(oi)
-              if (w == 0) dfs(tid, i + 1, tr.to)
-              else if (w <= itemCap) {
-                val child = enc(tid, i + 1, tr.to)
-                if (seen.add((w, child)))
-                  children.getOrElseUpdate(w, mutable.ArrayBuffer.empty) += child
-              }
-              oi += 1
-            }
-          }
-          j += 1
-        }
-      }
-
-      for ((w, buf) <- children) {
-        // Upper bound on any extension's support: total weight of distinct tids.
+      kids.foreachEntry { (item, builder) =>
+        val w = item.toInt
+        // Child entries arrive grouped by tid. Upper bound on any extension's
+        // support: total weight of its distinct tids.
+        val buf = builder.result()
         var bound = 0L
         var support = 0L
         var lastTid = -1
@@ -132,46 +140,83 @@ object DesqDfs {
           val e = buf(bi)
           val t = decTid(e)
           if (t != lastTid) { bound += weights(t); lastTid = t; counted = false }
-          if (!counted && epsReach(t)(decPos(e))(decQ(e))) { support += weights(t); counted = true }
+          if (!counted && epsReach(t)(decPos(e) * s + decQ(e))) { support += weights(t); counted = true }
           bi += 1
         }
         if (bound >= sigma) {
           prefix += w
-          val childHasPivot = hasPivot || pivot.contains(w)
-          if (support >= sigma && (pivot.isEmpty || childHasPivot))
+          val childHasPivot = hasPivot || w == k
+          if (support >= sigma && (k == 0 || childHasPivot))
             results(Pattern(prefix.toArray)) = support
-          expand(buf.toArray, childHasPivot)
+          expand(sortedDistinct(buf), childHasPivot)
           prefix.remove(prefix.length - 1)
         }
       }
     }
 
-    val root = Array.tabulate(n)(tid => enc(tid, 0, fst.initial))
-    expand(root, hasPivot = false)
-    results.toMap
+    /** Follow ε-moves from snapshot `(i, q)` of the current sequence and add
+      * every item step to the child of that item.
+      */
+    private def dfs(i: Int, q: Int): Unit = {
+      val key = i * s + q
+      if (stamp(key) == epoch) return
+      stamp(key) = epoch
+      if (i == seq.length) return
+      val row = fst.steps(seq(i), dict)
+      val next = (i + 1) * s
+      var j = row.start(q)
+      while (j < row.start(q + 1)) {
+        val to = row.to(j)
+        if (seqReach(next + to)) {
+          val keep = !pruning || seqPivotReach(next + to)
+          val outs = row.out(j)
+          var oi = 0
+          while (oi < outs.length && outs(oi) <= itemCap) {
+            val w = outs(oi)
+            if (w == 0) { if (keep) dfs(i + 1, to) }
+            else if (keep || w == k) {
+              var b = children.getOrNull(w)
+              if (b == null) { b = new mutable.ArrayBuilder.ofLong; children.update(w, b) }
+              b += enc(tid, i + 1, to)
+            }
+            oi += 1
+          }
+        }
+        j += 1
+      }
+    }
   }
 
-  /** `epsReach(i)(q)` — can the FST consume `t(i+1..n)` from `q`, reach a
-    * final state, and output only ε along the way?
+  /** Sorts `a` in place and returns its distinct values. */
+  private def sortedDistinct(a: Array[Long]): Array[Long] = {
+    java.util.Arrays.sort(a)
+    var n = 0
+    var i = 0
+    while (i < a.length) {
+      if (n == 0 || a(i) != a(n - 1)) { a(n) = a(i); n += 1 }
+      i += 1
+    }
+    if (n == a.length) a else java.util.Arrays.copyOf(a, n)
+  }
+
+  /** `epsReach(i * S + q)` — can the FST consume `t(i+1..n)` from `q`, reach
+    * a final state, and output only ε along the way?
     */
-  private def epsilonReach(t: Array[Int], fst: Fst, dict: Dictionary): Array[Array[Boolean]] = {
+  private def epsilonReach(t: Array[Int], fst: Fst, dict: Dictionary): Array[Boolean] = {
     val n = t.length
-    val er = Array.ofDim[Boolean](n + 1, fst.numStates)
-    for (q <- 0 until fst.numStates) er(n)(q) = fst.isFinal(q)
+    val s = fst.numStates
+    val er = new Array[Boolean]((n + 1) * s)
+    System.arraycopy(fst.isFinal, 0, er, n * s, s)
     var i = n - 1
     while (i >= 0) {
-      val item = t(i)
+      val row = fst.steps(t(i), dict)
+      val next = (i + 1) * s
       var q = 0
-      while (q < fst.numStates) {
-        val ts = fst.byState(q)
-        var j = 0
-        var ok = false
-        while (!ok && j < ts.length) {
-          val tr = ts(j)
-          if (canOutputEps(tr) && tr.in.matches(item, dict) && er(i + 1)(tr.to)) ok = true
-          j += 1
-        }
-        er(i)(q) = ok
+      while (q < s) {
+        var j = row.start(q)
+        val end = row.start(q + 1)
+        while (j < end && !(row.epsOnly(j) && er(next + row.to(j)))) j += 1
+        er(i * s + q) = j < end
         q += 1
       }
       i -= 1
@@ -179,38 +224,36 @@ object DesqDfs {
     er
   }
 
-  private def canOutputEps(tr: Transition): Boolean = tr.out == repro.fst.OutOp.EpsOut
-
-  /** Last 0-based position of `t` at which some transition on an accepting run
-    * can output item `k` — the early-stopping cutoff.
+  /** `pr(i * S + q)` — does some accepting run from `(i, q)` output `k`?
+    * Steps before the one that outputs `k` must be able to output ε or an
+    * item `<= cap`, as the search only takes such steps.
     */
-  private def lastPositionProducing(
-      t: Array[Int], k: Int, fst: Fst, dict: Dictionary,
-      reach: Array[Array[Boolean]]
-  ): Int = {
-    val fwd = FstSimulator.forwardReach(t, fst, dict)
-    var last = -1
-    var i = 0
-    while (i < t.length) {
-      val item = t(i)
+  private def canOutput(
+      t: Array[Int], k: Int, cap: Int, fst: Fst, dict: Dictionary, reach: Array[Boolean]
+  ): Array[Boolean] = {
+    val n = t.length
+    val s = fst.numStates
+    val pr = new Array[Boolean]((n + 1) * s)
+    var i = n - 1
+    while (i >= 0) {
+      val row = fst.steps(t(i), dict)
+      val next = (i + 1) * s
       var q = 0
-      var found = false
-      while (!found && q < fst.numStates) {
-        if (fwd(i)(q)) {
-          val ts = fst.byState(q)
-          var j = 0
-          while (!found && j < ts.length) {
-            val tr = ts(j)
-            if (tr.in.matches(item, dict) && reach(i + 1)(tr.to) &&
-                tr.out.outputs(item, dict).contains(k)) found = true
-            j += 1
-          }
+      while (q < s) {
+        var j = row.start(q)
+        var ok = false
+        while (!ok && j < row.start(q + 1)) {
+          val to = row.to(j)
+          val o = row.out(j)
+          ok = o.length > 0 && o(0) <= cap && reach(next + to) &&
+            (pr(next + to) || java.util.Arrays.binarySearch(o, k) >= 0)
+          j += 1
         }
+        pr(i * s + q) = ok
         q += 1
       }
-      if (found) last = i
-      i += 1
+      i -= 1
     }
-    if (last < 0) Int.MaxValue else last // no producing position: disable skip
+    pr
   }
 }

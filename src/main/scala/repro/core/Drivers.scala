@@ -19,7 +19,7 @@ object Drivers {
     * The map phase finds the pivot items `K(T)` of every input sequence with
     * the position–state grid and ships the leading/trailing-trimmed rewrite
     * `ρk(T)` to each pivot partition; the reduce phase runs pivot-restricted
-    * DESQ-DFS with early stopping.
+    * DESQ-DFS with pivot pruning.
     */
   def dSeq(
       sc: SparkContext,
@@ -32,6 +32,9 @@ object Drivers {
       numPartitions: Int = -1
   ): RDD[(Pattern, Long)] = {
     val fst = FstCompiler.compile(patex, dict)
+    require(fst.numStates <= DesqDfs.MaxFstStates,
+      s"D-SEQ: '$patex' compiles to an FST of ${fst.numStates} states, but DESQ-DFS " +
+        s"supports at most ${DesqDfs.MaxFstStates} FST states")
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)

@@ -19,25 +19,38 @@ object PivotSearch {
   /** Pivot-merge `U ⊕ Q = {ω∈U | ω ≥ min Q} ∪ {ω∈Q | ω ≥ min U}` (Th. 1).
     * Inputs and output are sorted, distinct, non-empty fid arrays.
     */
-  def oplus(u: Array[Int], q: Array[Int]): Array[Int] = {
-    val minU = u(0); val minQ = q(0)
-    val a = u.dropWhile(_ < minQ)
-    val b = q.dropWhile(_ < minU)
-    mergeDistinct(a, b)
+  def oplus(u: Array[Int], q: Array[Int]): Array[Int] = oplus(u, q, q.length)
+
+  /** `U ⊕ Q'` where `Q'` is the first `qLen > 0` items of `q` — the σ cap of
+    * a sorted output set, without a filtered copy.
+    */
+  private def oplus(u: Array[Int], q: Array[Int], qLen: Int): Array[Int] = {
+    var ai = 0
+    while (ai < u.length && u(ai) < q(0)) ai += 1
+    var bi = 0
+    while (bi < qLen && q(bi) < u(0)) bi += 1
+    mergeRanges(u, ai, u.length, q, bi, qLen)
   }
 
   /** Sorted-merge of two sorted distinct arrays, dropping duplicates. */
-  def mergeDistinct(a: Array[Int], b: Array[Int]): Array[Int] = {
-    if (a.isEmpty) return b
-    if (b.isEmpty) return a
-    val out = new mutable.ArrayBuilder.ofInt
-    var i = 0; var j = 0
-    while (i < a.length || j < b.length) {
-      if (j >= b.length || (i < a.length && a(i) < b(j))) { out += a(i); i += 1 }
-      else if (i >= a.length || b(j) < a(i)) { out += b(j); j += 1 }
-      else { out += a(i); i += 1; j += 1 }
+  def mergeDistinct(a: Array[Int], b: Array[Int]): Array[Int] =
+    mergeRanges(a, 0, a.length, b, 0, b.length)
+
+  /** Sorted-merge of `a(af until at)` and `b(bf until bt)`, dropping
+    * duplicates. Returns `a` or `b` itself when the result is all of it.
+    */
+  private def mergeRanges(a: Array[Int], af: Int, at: Int, b: Array[Int], bf: Int, bt: Int): Array[Int] = {
+    if (af == at) return if (bf == 0 && bt == b.length) b else java.util.Arrays.copyOfRange(b, bf, bt)
+    if (bf == bt) return if (af == 0 && at == a.length) a else java.util.Arrays.copyOfRange(a, af, at)
+    val out = new Array[Int](at - af + bt - bf)
+    var i = af; var j = bf; var n = 0
+    while (i < at || j < bt) {
+      if (j >= bt || (i < at && a(i) < b(j))) { out(n) = a(i); i += 1 }
+      else if (i >= at || b(j) < a(i)) { out(n) = b(j); j += 1 }
+      else { out(n) = a(i); i += 1; j += 1 }
+      n += 1
     }
-    out.result()
+    if (n == out.length) out else java.util.Arrays.copyOf(out, n)
   }
 
   /** Pivot items of a single run (Th. 1), in closed form. Folding `⊕` over
@@ -85,9 +98,6 @@ object PivotSearch {
     if (n == a.length) a else java.util.Arrays.copyOf(a, n)
   }
 
-  private def filterFrequent(outSet: Array[Int], maxFid: Int): Array[Int] =
-    if (maxFid < 0) outSet else outSet.filter(w => w <= maxFid) // keeps ε (0)
-
   /** Result of the grid pass for one input sequence. Positions are 0-based.
     *
     * @param pivots        sorted `K(T)` (σ-filtered, ε removed)
@@ -123,35 +133,42 @@ object PivotSearch {
     */
   def grid(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): GridResult = {
     val n = t.length
+    val s = fst.numStates
+    val cap = if (maxFid < 0) Int.MaxValue else maxFid
     val reach = FstSimulator.reachFinal(t, fst, dict)
-    // K(i)(q): pivot set of surviving partial runs ending at (i, q); null = none.
-    val K = Array.ofDim[Array[Int]](n + 1, fst.numStates)
-    if (reach(0)(fst.initial)) K(0)(fst.initial) = Array(0)
+    // K(i * s + q): pivot set of surviving partial runs ending at (i, q); null = none.
+    val K = new Array[Array[Int]]((n + 1) * s)
+    if (reach(fst.initial)) K(fst.initial) = Array(0)
 
     val stateChange = new Array[Boolean](n)
     val minOutput = Array.fill(n)(Int.MaxValue)
 
     var i = 0
     while (i < n) {
-      val item = t(i)
+      val row = fst.steps(t(i), dict)
+      val next = (i + 1) * s
       var q = 0
-      while (q < fst.numStates) {
-        val kPrev = K(i)(q)
+      while (q < s) {
+        val kPrev = K(i * s + q)
         if (kPrev != null) {
-          for (tr <- fst.byState(q)) {
-            if (tr.in.matches(item, dict) && reach(i + 1)(tr.to)) {
-              val o = filterFrequent(tr.out.outputs(item, dict), maxFid)
-              if (o.nonEmpty) {
-                val merged = oplus(kPrev, o)
-                val prev = K(i + 1)(tr.to)
-                K(i + 1)(tr.to) = if (prev == null) merged else mergeDistinct(prev, merged)
-                // Relevance bookkeeping for the rewrite (Sec. V-B).
-                if (tr.to != q) stateChange(i) = true
-                val firstNonEps = if (o(0) == 0) { if (o.length > 1) o(1) else 0 } else o(0)
-                if (firstNonEps != 0 && firstNonEps < minOutput(i))
-                  minOutput(i) = firstNonEps
-              }
+          var j = row.start(q)
+          while (j < row.start(q + 1)) {
+            val to = row.to(j)
+            val o = row.out(j)
+            // Frequent part of the output set: its first m items (ε is 0).
+            var m = 0
+            while (m < o.length && o(m) <= cap) m += 1
+            if (m > 0 && reach(next + to)) {
+              val merged = oplus(kPrev, o, m)
+              val prev = K(next + to)
+              K(next + to) = if (prev == null) merged else mergeDistinct(prev, merged)
+              // Relevance bookkeeping for the rewrite (Sec. V-B).
+              if (to != q) stateChange(i) = true
+              val firstNonEps = if (o(0) == 0) { if (m > 1) o(1) else 0 } else o(0)
+              if (firstNonEps != 0 && firstNonEps < minOutput(i))
+                minOutput(i) = firstNonEps
             }
+            j += 1
           }
         }
         q += 1
@@ -161,9 +178,9 @@ object PivotSearch {
 
     var pivots: Array[Int] = Array.empty
     var q = 0
-    while (q < fst.numStates) {
-      if (fst.isFinal(q) && K(n)(q) != null)
-        pivots = mergeDistinct(pivots, K(n)(q))
+    while (q < s) {
+      if (fst.isFinal(q) && K(n * s + q) != null)
+        pivots = mergeDistinct(pivots, K(n * s + q))
       q += 1
     }
     GridResult(pivots.filter(_ != 0), stateChange, minOutput)

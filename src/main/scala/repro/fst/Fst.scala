@@ -2,6 +2,8 @@ package repro.fst
 
 import repro.dict.Dictionary
 
+import java.util.concurrent.ConcurrentHashMap
+
 /** Input predicate of an FST transition: which items the transition matches. */
 sealed trait InPred extends Serializable {
   def matches(t: Int, dict: Dictionary): Boolean
@@ -57,11 +59,33 @@ object OutOp {
 /** One consuming FST transition `(from, in, out, to)`. */
 final case class Transition(from: Int, in: InPred, out: OutOp, to: Int) extends Serializable
 
+/** The FST's moves on one input item, for every state: the transitions of
+  * state `q` that match the item are the indices `start(q) until start(q + 1)`,
+  * in `byState(q)` order. For each, `to(j)` is its target state, `out(j)` its
+  * sorted output set on the item and `epsOnly(j)` whether that set is `{ε}`.
+  *
+  * Rows of items that match the same transitions share `start`, `to`,
+  * `epsOnly` and `outFn`. A row's own data is `sets`: the output set on its
+  * item of each of the FST's distinct output functions, indexed by `outFn(j)`.
+  * Immutable, with final fields only, so it is safe to share between threads.
+  */
+final class StepRow(
+    val start: Array[Int],
+    val to: Array[Int],
+    val epsOnly: Array[Boolean],
+    outFn: Array[Int],
+    sets: Array[Array[Int]]
+) {
+  def out(j: Int): Array[Int] = sets(outFn(j))
+
+  private[fst] def withSets(sets: Array[Array[Int]]): StepRow = new StepRow(start, to, epsOnly, outFn, sets)
+}
+
 /** A compressed (ε-free) finite state transducer, per Sec. IV of the paper.
   *
   * States are `0 until numStates`; state 0 is initial. `byState(q)` lists the
   * transitions leaving `q`. The FST is broadcast to workers, so everything in
-  * here is plain serializable data.
+  * here is plain serializable data, apart from the transient step table.
   */
 final class Fst(
     val numStates: Int,
@@ -77,6 +101,41 @@ final class Fst(
   }
 
   def numTransitions: Int = transitions.length
+
+  // Step table: one row per input item, built on first use, so it holds only
+  // the items a task touches. Like `Dictionary.anc`, racing fills are benign:
+  // rows are immutable and equal, and a lost write only costs a rebuild.
+  @transient @volatile private var stepRows: Array[StepRow] = _
+
+  /** The moves on input item `item`; `dict` must be the dictionary this FST
+    * was compiled against.
+    */
+  def steps(item: Int, dict: Dictionary): StepRow = {
+    var rows = stepRows
+    if (rows == null) { rows = new Array[StepRow](dict.size + 1); stepRows = rows }
+    val cached = rows(item)
+    if (cached != null) return cached
+    val row = buildRow(item, dict)
+    rows(item) = row
+    row
+  }
+
+  // Distinct output functions: a row keeps one output set per function.
+  @transient private lazy val outOps: Array[OutOp] = transitions.map(_.out).distinct
+  // Row shapes (rows without output sets), keyed by the matching transitions.
+  @transient private lazy val shapes = new ConcurrentHashMap[Vector[Transition], StepRow]
+
+  private def buildRow(item: Int, dict: Dictionary): StepRow = {
+    val matching = byState.iterator.flatMap(_.iterator.filter(_.in.matches(item, dict))).toVector
+    val shape = shapes.computeIfAbsent(matching, _ => {
+      val start = new Array[Int](numStates + 1)
+      for (tr <- matching) start(tr.from + 1) += 1
+      for (q <- 0 until numStates) start(q + 1) += start(q)
+      new StepRow(start, matching.map(_.to).toArray, matching.map(_.out == OutOp.EpsOut).toArray,
+        matching.map(tr => outOps.indexOf(tr.out)).toArray, null)
+    })
+    shape.withSets(outOps.map(_.outputs(item, dict)))
+  }
 
   override def toString: String = {
     val fs = isFinal.zipWithIndex.collect { case (true, q) => q }.mkString(",")

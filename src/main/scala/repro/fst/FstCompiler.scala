@@ -36,10 +36,6 @@ object FstCompiler {
     // omit them but must still match mid-sequence.) Skip a wrapper when the
     // expression already starts/ends with an uncaptured `.*` so explicit
     // wrappers do not duplicate loop states.
-    def isDotStar(e: PatEx): Boolean = e match {
-      case PatEx.Repeat(PatEx.Dot(_), 0, Int.MaxValue) => true
-      case _                                           => false
-    }
     val parts = ast match {
       case PatEx.Concat(es) => es
       case e                => List(e)
@@ -148,27 +144,27 @@ object FstCompiler {
         }
     }
 
+  /** Is `e` an uncaptured `.*` or `.↑*`? */
+  private def isDotStar(e: PatEx): Boolean = e match {
+    case PatEx.Repeat(PatEx.Dot(_), 0, Int.MaxValue) => true
+    case _                                           => false
+  }
+
   /** Strip uncaptured `.*` elements from the edges of a concatenation under an
     * unbounded repetition and fold them into an alternation with `.` instead.
     */
-  private def collapseGaps(e: PatEx): PatEx = {
-    def isDotStar(x: PatEx): Boolean = x match {
-      case PatEx.Repeat(PatEx.Dot(_), 0, Int.MaxValue) => true
-      case _                                           => false
-    }
-    e match {
-      case PatEx.Concat(es) =>
-        val trimmed = es.dropWhile(isDotStar).reverse.dropWhile(isDotStar).reverse
-        if (trimmed.length == es.length) e
-        else {
-          val core =
-            if (trimmed.isEmpty) PatEx.Dot(false)
-            else if (trimmed.length == 1) trimmed.head
-            else PatEx.Concat(trimmed)
-          if (trimmed.isEmpty) core else PatEx.Alt(List(core, PatEx.Dot(false)))
-        }
-      case other => other
-    }
+  private def collapseGaps(e: PatEx): PatEx = e match {
+    case PatEx.Concat(es) =>
+      val trimmed = es.dropWhile(isDotStar).reverse.dropWhile(isDotStar).reverse
+      if (trimmed.length == es.length) e
+      else {
+        val core =
+          if (trimmed.isEmpty) PatEx.Dot(false)
+          else if (trimmed.length == 1) trimmed.head
+          else PatEx.Concat(trimmed)
+        if (trimmed.isEmpty) core else PatEx.Alt(List(core, PatEx.Dot(false)))
+      }
+    case other => other
   }
 
   // ------------------------------------------------------------ ε-elimination

@@ -13,64 +13,35 @@ import scala.collection.mutable
 object FstSimulator {
 
   /** One accepting run, represented by its sequence of output sets — one
-    * entry per input position (ε-only sets included).
+    * entry per input position (ε-only sets included). The sets are the FST
+    * step table's own arrays: read them, never write them.
     */
   type Run = IndexedSeq[Array[Int]]
 
-  /** `reach(i)(q)` — can the FST consume `t(i+1..n)` starting in state `q` and
-    * end in a final state? Backward DP, O(|T|·|Δ|). Index `i` ranges 0..n.
+  /** `reach(i * S + q)`, `S = fst.numStates` — can the FST consume
+    * `t(i+1..n)` starting in state `q` and end in a final state? Backward DP,
+    * O(|T|·|Δ|). Index `i` ranges 0..n.
     */
-  def reachFinal(t: Array[Int], fst: Fst, dict: Dictionary): Array[Array[Boolean]] = {
+  def reachFinal(t: Array[Int], fst: Fst, dict: Dictionary): Array[Boolean] = {
     val n = t.length
-    val reach = Array.ofDim[Boolean](n + 1, fst.numStates)
-    for (q <- 0 until fst.numStates) reach(n)(q) = fst.isFinal(q)
+    val s = fst.numStates
+    val reach = new Array[Boolean]((n + 1) * s)
+    System.arraycopy(fst.isFinal, 0, reach, n * s, s)
     var i = n - 1
     while (i >= 0) {
-      val item = t(i)
+      val row = fst.steps(t(i), dict)
+      val next = (i + 1) * s
       var q = 0
-      while (q < fst.numStates) {
-        val ts = fst.byState(q)
-        var j = 0
-        var ok = false
-        while (!ok && j < ts.length) {
-          val tr = ts(j)
-          if (tr.in.matches(item, dict) && reach(i + 1)(tr.to)) ok = true
-          j += 1
-        }
-        reach(i)(q) = ok
+      while (q < s) {
+        var j = row.start(q)
+        val end = row.start(q + 1)
+        while (j < end && !reach(next + row.to(j))) j += 1
+        reach(i * s + q) = j < end
         q += 1
       }
       i -= 1
     }
     reach
-  }
-
-  /** `fwd(i)(q)` — can the FST consume `t(1..i)` from the initial state and be
-    * in state `q`? Forward DP, O(|T|·|Δ|).
-    */
-  def forwardReach(t: Array[Int], fst: Fst, dict: Dictionary): Array[Array[Boolean]] = {
-    val n = t.length
-    val fwd = Array.ofDim[Boolean](n + 1, fst.numStates)
-    fwd(0)(fst.initial) = true
-    var i = 0
-    while (i < n) {
-      val item = t(i)
-      var q = 0
-      while (q < fst.numStates) {
-        if (fwd(i)(q)) {
-          val ts = fst.byState(q)
-          var j = 0
-          while (j < ts.length) {
-            val tr = ts(j)
-            if (tr.in.matches(item, dict)) fwd(i + 1)(tr.to) = true
-            j += 1
-          }
-        }
-        q += 1
-      }
-      i += 1
-    }
-    fwd
   }
 
   /** Stream all accepting runs of `t` (as sequences of output sets) to `f`
@@ -94,12 +65,16 @@ object FstSimulator {
         }
         return
       }
-      val item = t(i)
-      for (tr <- fst.byState(q))
-        if (tr.in.matches(item, dict) && reach(i + 1)(tr.to)) {
-          cur(i) = tr.out.outputs(item, dict)
-          rec(i + 1, tr.to)
+      val row = fst.steps(t(i), dict)
+      val next = (i + 1) * fst.numStates
+      var j = row.start(q)
+      while (j < row.start(q + 1)) {
+        if (reach(next + row.to(j))) {
+          cur(i) = row.out(j)
+          rec(i + 1, row.to(j))
         }
+        j += 1
+      }
     }
     if (n == 0) { if (fst.isFinal(fst.initial)) f(IndexedSeq.empty) }
     else rec(0, fst.initial)

@@ -1,7 +1,12 @@
 package repro.util
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerStageCompleted}
+import org.apache.spark.SparkContext
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.apache.spark.sql.SparkSession
+
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicLong
+import scala.collection.mutable
 
 /** Capture Spark task metrics around an action — used to report shuffle sizes
   * (the paper's `shuffleWriteBytes` measure) and wall times for the benches.
@@ -10,25 +15,68 @@ object Metrics {
 
   final case class RunMetrics(wallMillis: Long, shuffleWriteBytes: Long, result: Long)
 
-  /** Run `action` (which must trigger the job and return a result count);
-    * report wall time and total shuffle write bytes of the stages it ran.
+  private val groups = new AtomicLong
+
+  /** Run `action` (which must trigger the job and return a result count) in
+    * its own job group; report its wall time and the total shuffle write bytes
+    * of the stages that group's jobs ran. Jobs of other groups are not counted.
     */
   def measure(spark: SparkSession)(action: => Long): RunMetrics = {
-    @volatile var shuffleBytes = 0L
-    val listener = new SparkListener {
-      override def onStageCompleted(sc: SparkListenerStageCompleted): Unit =
-        shuffleBytes += sc.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten
+    val sc = spark.sparkContext
+    val group = s"repro-measure-${groups.incrementAndGet()}"
+    val listener = new GroupListener(group)
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "Metrics.measure", interruptOnCancel = false)
+      val t0 = System.nanoTime()
+      val res =
+        try action
+        finally sc.clearJobGroup()
+      val wall = (System.nanoTime() - t0) / 1000000L
+      listener.awaitEvents(sc)
+      RunMetrics(wall, listener.shuffleBytes, res)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** Sums the shuffle write bytes of `group`'s stages.
+    *
+    * Listener events arrive asynchronously, but in the order they were
+    * posted, and a job's stage events come before its `onJobEnd`. So after
+    * the measured action, one tiny job in a second group marks the end: once
+    * its `onJobEnd` is seen, so is every event of the group's jobs.
+    */
+  private final class GroupListener(group: String) extends SparkListener {
+    private val markerGroup = group + "/end"
+    private val markerEnded = new CountDownLatch(1)
+    private val stageIds = mutable.HashSet.empty[Int]
+    private var markerJob = -1
+    private var bytes = 0L
+
+    private def groupOf(e: SparkListenerJobStart): String =
+      if (e.properties == null) null else e.properties.getProperty("spark.jobGroup.id")
+
+    override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+      val g = groupOf(e)
+      if (g == group) stageIds ++= e.stageIds
+      else if (g == markerGroup) markerJob = e.jobId
     }
-    spark.sparkContext.addSparkListener(listener)
-    val t0 = System.nanoTime()
-    val res =
-      try action
-      finally {
-        // Listener events are posted asynchronously; give the bus a moment.
-        Thread.sleep(200)
-        spark.sparkContext.removeSparkListener(listener)
-      }
-    val wall = (System.nanoTime() - t0) / 1000000L
-    RunMetrics(wall, shuffleBytes, res)
+
+    override def onJobEnd(e: SparkListenerJobEnd): Unit = synchronized {
+      if (e.jobId == markerJob) markerEnded.countDown()
+    }
+
+    override def onStageCompleted(e: SparkListenerStageCompleted): Unit = synchronized {
+      if (stageIds.contains(e.stageInfo.stageId))
+        bytes += e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten
+    }
+
+    def awaitEvents(sc: SparkContext): Unit = {
+      sc.setJobGroup(markerGroup, "Metrics.measure end marker", interruptOnCancel = false)
+      try sc.parallelize(Seq(0), 1).count()
+      finally sc.clearJobGroup()
+      require(markerEnded.await(60, TimeUnit.SECONDS), s"listener events of $group did not arrive")
+    }
+
+    def shuffleBytes: Long = synchronized(bytes)
   }
 }

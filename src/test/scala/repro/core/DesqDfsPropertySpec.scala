@@ -1,0 +1,87 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGen
+import repro.dict.Dictionary
+import repro.fst.{Fst, FstCompiler}
+
+/** Property tests (ScalaCheck) for pivot-restricted DESQ-DFS and the FST step
+  * table, on random hierarchies, databases, weights and σ.
+  */
+class DesqDfsPropertySpec extends AnyFunSuite {
+
+  private def check(p: Prop, tests: Int): Unit = {
+    val params = Test.Parameters.default.withMinSuccessfulTests(tests).withInitialSeed(Seed(20161212L))
+    val res = Test.check(params, p)
+    assert(res.passed, res.status.toString)
+  }
+
+  private val mids = Seq("m0", "m1", "m2")
+
+  /** The toy hierarchy's names with random edges: each leaf has one or two
+    * mids as parents, and a mid may also generalize to a lower-numbered mid.
+    */
+  private val hierarchy: Gen[Map[String, Seq[String]]] = for {
+    leafParents <- Gen.listOfN(TestGen.leaves.size, Gen.choose(1, 2).flatMap(Gen.pick(_, mids)))
+    m1Up <- Gen.oneOf(Seq("top"), Seq("top", "m0"))
+    m2Up <- Gen.oneOf(Seq("top"), Seq("m0"), Seq("m1", "top"))
+  } yield TestGen.leaves.zip(leafParents.map(_.toSeq)).toMap ++
+    Map("m0" -> Seq("top"), "m1" -> m1Up, "m2" -> m2Up)
+
+  /** Up to 10 sequences of 1–7 leaves, each with a weight of 1–3. */
+  private val weightedDb: Gen[Seq[(Array[String], Long)]] =
+    Gen.choose(1, 10).flatMap(n => Gen.listOfN(n, Gen.zip(
+      Gen.choose(1, 7).flatMap(len => Gen.listOfN(len, Gen.oneOf(TestGen.leaves)).map(_.toArray)),
+      Gen.choose(1L, 3L))))
+
+  test("pivot-k mining with and without pruning == brute force restricted to pivot k") {
+    var nonEmptyPartitions = 0
+    val input = Gen.zip(Gen.oneOf(TestGen.patterns.map(_._2)), hierarchy, weightedDb, Gen.oneOf(1L, 2L, 4L))
+    check(Prop.forAllNoShrink(input) { case (patex, parents, wdb, sigma) =>
+      // Encode the expanded database, so item frequencies count weights.
+      val (dict, expanded) = TestGen.encodeLocal(wdb.flatMap { case (t, w) => Seq.fill(w.toInt)(t) }, parents)
+      val db = wdb.toIndexedSeq.map { case (t, w) => (t.map(dict.fid), w) }
+      val fst = FstCompiler.compile(patex, dict)
+      val maxFid = dict.maxFrequentFid(sigma)
+      val brute = BruteForce.mine(expanded, fst, sigma, dict)
+      (1 to dict.size).forall { k =>
+        val want = brute.filter(_._1.pivot == k)
+        val on = DesqDfs.mine(db, fst, dict, sigma, maxFid, Some(k), earlyStop = true)
+        val off = DesqDfs.mine(db, fst, dict, sigma, maxFid, Some(k), earlyStop = false)
+        if (want.nonEmpty) nonEmptyPartitions += 1
+        on == want && off == want
+      }
+    }, tests = 150)
+    assert(nonEmptyPartitions > 150, "too few pivot partitions with patterns to be a test")
+  }
+
+  test("step table rows equal byState(q).filter(matches) with the same outputs") {
+    val input = for {
+      patex <- Gen.oneOf(TestGen.patterns.map(_._2))
+      parents <- hierarchy
+      probes <- Gen.listOfN(20, Gen.zip(Gen.choose(0, 1 << 20), Gen.choose(1, 1 << 20)))
+    } yield (patex, parents, probes)
+    check(Prop.forAllNoShrink(input) { case (patex, parents, probes) =>
+      val (dict, _) = TestGen.encodeLocal(Seq(TestGen.leaves.toArray), parents)
+      val fst = FstCompiler.compile(patex, dict)
+      probes.forall { case (qr, itemr) =>
+        val q = qr % fst.numStates
+        val item = 1 + itemr % dict.size
+        rowMatches(fst, dict, q, item)
+      }
+    }, tests = 200)
+  }
+
+  private def rowMatches(fst: Fst, dict: Dictionary, q: Int, item: Int): Boolean = {
+    val row = fst.steps(item, dict)
+    val want = fst.byState(q).filter(_.in.matches(item, dict))
+    val got = row.start(q) until row.start(q + 1)
+    got.length == want.length && got.zip(want).forall { case (j, tr) =>
+      row.to(j) == tr.to &&
+        row.out(j).sameElements(tr.out.outputs(item, dict)) &&
+        row.epsOnly(j) == tr.out.outputs(item, dict).sameElements(Array(0))
+    }
+  }
+}

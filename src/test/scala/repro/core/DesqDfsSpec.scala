@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Ex, TestGen}
 import repro.Ex._
-import repro.fst.FstCompiler
+import repro.fst.{Fst, FstCompiler}
 
 class DesqDfsSpec extends AnyFunSuite {
 
@@ -70,6 +70,33 @@ class DesqDfsSpec extends AnyFunSuite {
       DesqDfs.mine(asDb(db), fst, dict, 2, maxFid, pivot = Some(k))
     }.toMap
     assert(union == full)
+  }
+
+  test("a pivot only on a branch that cannot accept adds nothing to its partition") {
+    // In `dead`, l7 follows an l0 but no l1 follows it: the run that would
+    // capture l7 cannot accept, only the one capturing l5 does.
+    val live = Seq(Array("l0", "l7", "l1"), Array("l0", "l7", "l1"))
+    val dead = Array("l0", "l5", "l1", "l0", "l7")
+    val (d, enc) = TestGen.encodeLocal(live ++ Seq(dead, dead), TestGen.toyParents)
+    val f = FstCompiler.compile("l0(.)l1", d)
+    val k = d.fid("l7")
+    val maxFid = d.maxFrequentFid(2)
+    for (earlyStop <- Seq(true, false)) {
+      def mine(ts: Seq[Array[Int]]) = DesqDfs.mine(asDb(ts), f, d, 2, maxFid, Some(k), earlyStop)
+      assert(mine(enc.take(2)) == Map(Pattern(k) -> 2L), s"earlyStop=$earlyStop")
+      assert(mine(enc) == mine(enc.take(2)), s"earlyStop=$earlyStop")
+      assert(mine(enc.drop(2)).isEmpty, s"earlyStop=$earlyStop")
+    }
+  }
+
+  test("entry encoding limits are checked before any per-sequence work") {
+    val states = DesqDfs.MaxFstStates + 1
+    val big = new Fst(states, 0, Array.fill(states)(true), Array.empty)
+    val e1 = intercept[IllegalArgumentException](DesqDfs.mine(asDb(db), big, dict, 1, dict.size))
+    assert(e1.getMessage.contains(s"at most ${DesqDfs.MaxFstStates} states"))
+    val long = Array.fill(DesqDfs.MaxSequenceLength + 1)(a1)
+    val e2 = intercept[IllegalArgumentException](DesqDfs.mine(asDb(Seq(long)), fst, dict, 1, dict.size))
+    assert(e2.getMessage.contains(s"at most ${DesqDfs.MaxSequenceLength} items"))
   }
 
   test("empty database mines nothing") {

@@ -84,4 +84,10 @@ class DriversSpec extends SparkSpec {
       assert(res.length == res.map(_._1).distinct.length, algo)
     }
   }
+
+  test("dseq rejects an FST over DESQ-DFS's state limit on the driver") {
+    val patex = s"(.){${DesqDfs.MaxFstStates}}"
+    val e = intercept[IllegalArgumentException](Drivers.dSeq(sc, sc.parallelize(db, 1), dict, patex, 1))
+    assert(e.getMessage.contains(s"at most ${DesqDfs.MaxFstStates} FST states"))
+  }
 }
