@@ -1,7 +1,8 @@
 package bench
 
+import repro.core.BruteForce
 import repro.eval.{Constraints, Tables}
-import repro.fst.{BlowUpException, FstCompiler, FstSimulator}
+import repro.fst.FstCompiler
 
 /** Tab. IV — candidate subsequence statistics. Shape checks: the battery
   * spans selective (CSPI ~1–10: N1, N2, N3) to loose (CSPI in the hundreds+:
@@ -19,10 +20,9 @@ class TableIVBench extends BenchBase {
     val maxFid = db.dict.maxFrequentFid(c.sigma)
     val bcD = spark.sparkContext.broadcast(db.dict)
     val bcF = spark.sparkContext.broadcast(fst)
-    val counts = db.sequences.map { t =>
-      try FstSimulator.candidates(t, bcF.value, bcD.value, maxFid, cap).size.toLong
-      catch { case _: BlowUpException => cap.toLong }
-    }.filter(_ > 0).collect()
+    val counts = db.sequences
+      .map(BruteForce.candidateCount(_, bcF.value, bcD.value, maxFid, cap))
+      .filter(_ > 0).collect()
     if (counts.isEmpty) 0.0 else counts.sum.toDouble / counts.length
   }
 

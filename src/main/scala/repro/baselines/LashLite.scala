@@ -26,17 +26,15 @@ object LashLite {
       dict: Dictionary,
       sigma: Long,
       gamma: Int,
-      lambda: Int,
-      numPartitions: Int = -1
+      lambda: Int
   ): RDD[(Pattern, Long)] = {
     require(lambda >= 2, "T3 subsequences have at least 2 items")
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
-    val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
 
     sequences
       .flatMap { t => pivotsOf(t, bcDict.value, maxFid, gamma).iterator.map(k => (k, rewrite(t, bcDict.value, maxFid, gamma, k))) }
-      .groupByKey(parts)
+      .groupByKey(sc.defaultParallelism)
       .flatMap { case (k, seqs) =>
         minePartition(seqs.toIndexedSeq, bcDict.value, sigma, gamma, lambda, maxFid, k)
       }

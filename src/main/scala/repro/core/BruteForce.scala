@@ -24,15 +24,11 @@ object BruteForce {
     counts.filter(_._2 >= sigma).toMap
   }
 
-  /** Per-sequence candidate counts — the CSPI statistic of Tab. IV.
-    * Returns (|Gσπ(T)|) for each T; 0 for unmatched sequences.
+  /** `|Gσπ(T)|`, the per-sequence candidate count behind the CSPI statistic
+    * of Tab. IV: 0 for an unmatched sequence, `cap` when enumeration hits the
+    * cap (reported as >= cap).
     */
-  def candidateCounts(db: Seq[Array[Int]], fst: Fst, sigma: Long, dict: Dictionary,
-                      cap: Int = 1 << 20): Seq[Long] = {
-    val maxFid = dict.maxFrequentFid(sigma)
-    db.map { t =>
-      try FstSimulator.candidates(t, fst, dict, maxFid, cap).size.toLong
-      catch { case _: BlowUpException => cap.toLong } // capped, reported as >= cap
-    }
-  }
+  def candidateCount(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int, cap: Int): Long =
+    try FstSimulator.candidates(t, fst, dict, maxFid, cap).size.toLong
+    catch { case _: BlowUpException => cap.toLong }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.dict.Dictionary
-import repro.fst.{Fst, FstSimulator}
+import repro.fst.Fst
 
 import scala.collection.mutable
 
@@ -12,14 +12,14 @@ import scala.collection.mutable
   * projected database of `(T, pos, state)` snapshots — FST simulations of `T`
   * that have produced exactly the node's prefix and stand at `pos`/`state`.
   * A prefix is a complete candidate for `T` if some snapshot can consume the
-  * rest of `T` producing only ε (precomputed per `(pos, state)`).
+  * rest of `T` producing only ε ([[cells]] precomputes this per `(pos, state)`).
   *
   * With `pivot = Some(k)` the miner runs D-SEQ's restricted local mining:
   * prefixes use only items `<= k` and only sequences containing `k` are
   * emitted. Pivot pruning keeps, while the prefix lacks `k`, only snapshots
-  * from which some accepting run can still output `k` (a backward DP over
-  * `(pos, state)`); such a run is the only way a snapshot can add to a
-  * pivot-`k` pattern, so the pruning is exact.
+  * from which some accepting run can still output `k`; such a run is the
+  * only way a snapshot can add to a pivot-`k` pattern, so the pruning is
+  * exact.
   *
   * The unrestricted variant (`pivot = None`) is the sequential DESQ-DFS
   * baseline of Tab. V.
@@ -58,8 +58,8 @@ object DesqDfs {
     new Search(db, fst, dict, sigma, itemCap, pivot.getOrElse(0), pivot.isDefined && earlyStop, maxLen).run()
   }
 
-  /** One mining run: the per-sequence DPs, flat over `pos * S + state`, and
-    * the scratch state of the depth-first search.
+  /** One mining run: the per-sequence [[cells]] tables and the scratch state
+    * of the depth-first search.
     *
     * @param k     the pivot, or 0 (ε, never an output item) when unrestricted
     * @param prune pivot pruning on
@@ -71,12 +71,7 @@ object DesqDfs {
     private val s = fst.numStates
     private val seqs = db.map(_._1).toArray
     private val weights = db.map(_._2).toArray
-    private val reach = seqs.map(FstSimulator.reachFinal(_, fst, dict))
-    private val epsReach = seqs.map(epsilonReach(_, fst, dict))
-    // Can an accepting run from (pos, state) still output k? Only with pruning.
-    private val pivotReach =
-      if (prune) Array.tabulate(seqs.length)(tid => canOutput(seqs(tid), k, itemCap, fst, dict, reach(tid)))
-      else null
+    private val seqCells = seqs.map(cells(_, fst, dict, k, itemCap, prune))
 
     private val results = mutable.HashMap.empty[Pattern, Long]
     private val prefix = mutable.ArrayBuffer.empty[Int]
@@ -91,8 +86,7 @@ object DesqDfs {
     private var pruning = false
     private var tid = 0
     private var seq: Array[Int] = _
-    private var seqReach: Array[Boolean] = _
-    private var seqPivotReach: Array[Boolean] = _
+    private var seqCell: Array[Byte] = _
 
     @inline private def enc(tid: Int, pos: Int, q: Int): Long = (tid.toLong << 31) | (pos.toLong << 10) | q
     @inline private def decTid(e: Long): Int = (e >>> 31).toInt
@@ -101,7 +95,8 @@ object DesqDfs {
 
     def run(): Map[Pattern, Long] = {
       val root = new mutable.ArrayBuilder.ofLong
-      for (t <- seqs.indices if !prune || pivotReach(t)(fst.initial)) root += enc(t, 0, fst.initial)
+      for (t <- seqs.indices if !prune || (seqCells(t)(fst.initial) & OutputsK) != 0)
+        root += enc(t, 0, fst.initial)
       expand(root.result(), hasPivot = false)
       results.toMap
     }
@@ -117,8 +112,7 @@ object DesqDfs {
         if (ei == 0 || decTid(e) != tid) {
           tid = decTid(e)
           seq = seqs(tid)
-          seqReach = reach(tid)
-          if (pruning) seqPivotReach = pivotReach(tid)
+          seqCell = seqCells(tid)
           if (epoch == Int.MaxValue) { java.util.Arrays.fill(stamp, 0); epoch = 0 }
           epoch += 1
         }
@@ -140,7 +134,9 @@ object DesqDfs {
           val e = buf(bi)
           val t = decTid(e)
           if (t != lastTid) { bound += weights(t); lastTid = t; counted = false }
-          if (!counted && epsReach(t)(decPos(e) * s + decQ(e))) { support += weights(t); counted = true }
+          if (!counted && (seqCells(t)(decPos(e) * s + decQ(e)) & EpsAccept) != 0) {
+            support += weights(t); counted = true
+          }
           bi += 1
         }
         if (bound >= sigma) {
@@ -167,8 +163,9 @@ object DesqDfs {
       var j = row.start(q)
       while (j < row.start(q + 1)) {
         val to = row.to(j)
-        if (seqReach(next + to)) {
-          val keep = !pruning || seqPivotReach(next + to)
+        val c = seqCell(next + to)
+        if ((c & Reach) != 0) {
+          val keep = !pruning || (c & OutputsK) != 0
           val outs = row.out(j)
           var oi = 0
           while (oi < outs.length && outs(oi) <= itemCap) {
@@ -199,61 +196,54 @@ object DesqDfs {
     if (n == a.length) a else java.util.Arrays.copyOf(a, n)
   }
 
-  /** `epsReach(i * S + q)` — can the FST consume `t(i+1..n)` from `q`, reach
-    * a final state, and output only ε along the way?
+  /** Bits of a [[cells]] entry for `(i, q)`, set iff some accepting run from
+    * `(i, q)` exists ([[Reach]]), outputs only ε ([[EpsAccept]]), or outputs
+    * pivot `k` ([[OutputsK]]) with every step up to that one able to output
+    * ε or an item `<= cap`, as the search only takes such steps.
     */
-  private def epsilonReach(t: Array[Int], fst: Fst, dict: Dictionary): Array[Boolean] = {
+  private[core] final val Reach = 1
+  private[core] final val EpsAccept = 2
+  private[core] final val OutputsK = 4
+
+  /** The per-sequence DP of DESQ-DFS: one backward pass over `t` filling
+    * `cells(i * S + q)` with the [[Reach]], [[EpsAccept]] and, if `pivot`,
+    * [[OutputsK]] bits. Index `i` ranges 0..n.
+    */
+  private[core] def cells(
+      t: Array[Int], fst: Fst, dict: Dictionary, k: Int, cap: Int, pivot: Boolean
+  ): Array[Byte] = {
     val n = t.length
     val s = fst.numStates
-    val er = new Array[Boolean]((n + 1) * s)
-    System.arraycopy(fst.isFinal, 0, er, n * s, s)
+    val all = if (pivot) Reach | EpsAccept | OutputsK else Reach | EpsAccept
+    val c = new Array[Byte]((n + 1) * s)
+    for (q <- 0 until s if fst.isFinal(q)) c(n * s + q) = (Reach | EpsAccept).toByte
     var i = n - 1
     while (i >= 0) {
       val row = fst.steps(t(i), dict)
       val next = (i + 1) * s
       var q = 0
       while (q < s) {
+        var bits = 0
         var j = row.start(q)
         val end = row.start(q + 1)
-        while (j < end && !(row.epsOnly(j) && er(next + row.to(j)))) j += 1
-        er(i * s + q) = j < end
-        q += 1
-      }
-      i -= 1
-    }
-    er
-  }
-
-  /** `pr(i * S + q)` — does some accepting run from `(i, q)` output `k`?
-    * Steps before the one that outputs `k` must be able to output ε or an
-    * item `<= cap`, as the search only takes such steps.
-    */
-  private def canOutput(
-      t: Array[Int], k: Int, cap: Int, fst: Fst, dict: Dictionary, reach: Array[Boolean]
-  ): Array[Boolean] = {
-    val n = t.length
-    val s = fst.numStates
-    val pr = new Array[Boolean]((n + 1) * s)
-    var i = n - 1
-    while (i >= 0) {
-      val row = fst.steps(t(i), dict)
-      val next = (i + 1) * s
-      var q = 0
-      while (q < s) {
-        var j = row.start(q)
-        var ok = false
-        while (!ok && j < row.start(q + 1)) {
-          val to = row.to(j)
-          val o = row.out(j)
-          ok = o.length > 0 && o(0) <= cap && reach(next + to) &&
-            (pr(next + to) || java.util.Arrays.binarySearch(o, k) >= 0)
+        while (j < end && bits != all) {
+          val b = c(next + row.to(j))
+          if ((b & Reach) != 0) {
+            bits |= Reach
+            if (row.epsOnly(j)) bits |= b & EpsAccept
+            if (pivot && (bits & OutputsK) == 0) {
+              val o = row.out(j)
+              if (o.length > 0 && o(0) <= cap &&
+                  ((b & OutputsK) != 0 || java.util.Arrays.binarySearch(o, k) >= 0)) bits |= OutputsK
+            }
+          }
           j += 1
         }
-        pr(i * s + q) = ok
+        c(i * s + q) = bits.toByte
         q += 1
       }
       i -= 1
     }
-    pr
+    c
   }
 }

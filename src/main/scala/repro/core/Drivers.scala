@@ -28,8 +28,7 @@ object Drivers {
       patex: String,
       sigma: Long,
       rewrite: Boolean = true,
-      earlyStop: Boolean = true,
-      numPartitions: Int = -1
+      earlyStop: Boolean = true
   ): RDD[(Pattern, Long)] = {
     val fst = FstCompiler.compile(patex, dict)
     require(fst.numStates <= DesqDfs.MaxFstStates,
@@ -38,7 +37,6 @@ object Drivers {
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
-    val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
     sequences
       .flatMap { t =>
         val g = PivotSearch.grid(t, bcFst.value, bcDict.value, maxFid)
@@ -46,7 +44,7 @@ object Drivers {
           (k, if (rewrite) PivotSearch.rewrite(t, g, k) else t)
         }
       }
-      .groupByKey(parts)
+      .groupByKey(sc.defaultParallelism)
       .flatMap { case (k, seqs) =>
         DesqDfs.mine(
           seqs.iterator.map((_, 1L)).toIndexedSeq,
@@ -69,14 +67,13 @@ object Drivers {
       sigma: Long,
       aggregate: Boolean = true,
       minimizeNfas: Boolean = true,
-      maxRuns: Int = 1 << 20,
-      numPartitions: Int = -1
+      maxRuns: Int = 1 << 20
   ): RDD[(Pattern, Long)] = {
     val fst = FstCompiler.compile(patex, dict)
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
-    val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
+    val parts = sc.defaultParallelism
 
     val perSeq = sequences.flatMap { t =>
       Nfa.buildForSequence(t, bcFst.value, bcDict.value, maxFid, maxRuns,

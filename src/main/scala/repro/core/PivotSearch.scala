@@ -186,10 +186,6 @@ object PivotSearch {
     GridResult(pivots.filter(_ != 0), stateChange, minOutput)
   }
 
-  /** `K(T)` — the pivot items of `t` (Eq. 1), σ-filtered. */
-  def pivots(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Array[Int] =
-    grid(t, fst, dict, maxFid).pivots
-
   /** The rewritten representation `ρk(T)`: `t` with leading and trailing
     * positions irrelevant for pivot `k` dropped (Sec. V-B).
     */

@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.SparkSession
 import repro.core.{BruteForce, DesqDfs, Drivers, Pattern}
 import repro.data.{SeqDB, SeqData}
-import repro.fst.{BlowUpException, FstCompiler, FstSimulator}
+import repro.fst.{BlowUpException, FstCompiler}
 import repro.util.Metrics
 
 /** Harnesses that regenerate the paper's evaluation tables on the synthetic
@@ -89,10 +89,9 @@ object Tables {
       val maxFid = db.dict.maxFrequentFid(c.sigma)
       val bcDict = spark.sparkContext.broadcast(db.dict)
       val bcFst = spark.sparkContext.broadcast(fst)
-      val counts = db.sequences.map { t =>
-        try FstSimulator.candidates(t, bcFst.value, bcDict.value, maxFid, cap).size.toLong
-        catch { case _: BlowUpException => cap.toLong }
-      }.collect()
+      val counts = db.sequences
+        .map(BruteForce.candidateCount(_, bcFst.value, bcDict.value, maxFid, cap))
+        .collect()
       val nSeq = counts.length
       val matched = counts.count(_ > 0)
       val total = counts.sum
@@ -124,13 +123,13 @@ object Tables {
       val tSeq = (System.nanoTime() - t0) / 1e9
 
       val mSeq = Metrics.measure(spark) {
-        Drivers.dSeq(spark.sparkContext, db.sequences, db.dict, c.patex, c.sigma).count()
+        Drivers.dSeq(spark.sparkContext, db.sequences, db.dict, c.patex, c.sigma).collect().toMap
       }
       val mCand = Metrics.measure(spark) {
-        Drivers.dCand(spark.sparkContext, db.sequences, db.dict, c.patex, c.sigma).count()
+        Drivers.dCand(spark.sparkContext, db.sequences, db.dict, c.patex, c.sigma).collect().toMap
       }
-      require(mSeq.result == seqRes.size && mCand.result == seqRes.size,
-        s"result mismatch for ${c.name}: desqdfs=${seqRes.size} dseq=${mSeq.result} dcand=${mCand.result}")
+      require(mSeq.result == seqRes && mCand.result == seqRes,
+        s"result maps differ for ${c.name}: desqdfs=${seqRes.size} dseq=${mSeq.result.size} dcand=${mCand.result.size}")
       val dseqS = mSeq.wallMillis / 1e3
       val dcandS = mCand.wallMillis / 1e3
       f"${c.name}%-14s ${c.dataset}%-6s ${seqRes.size}%8d ${tSeq}%9.1f " +

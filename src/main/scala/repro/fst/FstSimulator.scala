@@ -80,14 +80,6 @@ object FstSimulator {
     else rec(0, fst.initial)
   }
 
-  /** All accepting runs, materialized — for tests and small inputs. */
-  def acceptingRuns(t: Array[Int], fst: Fst, dict: Dictionary,
-                    maxRuns: Int = 1 << 20): Seq[Run] = {
-    val out = mutable.ArrayBuffer.empty[Run]
-    foreachAcceptingRun(t, fst, dict, maxRuns)(out += _)
-    out.toSeq
-  }
-
   /** Candidates generated by one run: the Cartesian product of its output
     * sets, ε entries contributing nothing. The empty output sequence is
     * dropped (an empty pattern is not a subsequence).

@@ -13,15 +13,15 @@ import scala.collection.mutable
   */
 object Metrics {
 
-  final case class RunMetrics(wallMillis: Long, shuffleWriteBytes: Long, result: Long)
+  final case class RunMetrics[A](wallMillis: Long, shuffleWriteBytes: Long, result: A)
 
   private val groups = new AtomicLong
 
-  /** Run `action` (which must trigger the job and return a result count) in
+  /** Run `action` (which must trigger the job and return its result) in
     * its own job group; report its wall time and the total shuffle write bytes
     * of the stages that group's jobs ran. Jobs of other groups are not counted.
     */
-  def measure(spark: SparkSession)(action: => Long): RunMetrics = {
+  def measure[A](spark: SparkSession)(action: => A): RunMetrics[A] = {
     val sc = spark.sparkContext
     val group = s"repro-measure-${groups.incrementAndGet()}"
     val listener = new GroupListener(group)

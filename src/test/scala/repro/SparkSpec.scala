@@ -1,8 +1,11 @@
 package repro
 
+import org.apache.spark.SparkContext
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{Drivers, Pattern}
+import repro.dict.Dictionary
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -14,6 +17,17 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+  def sc: SparkContext = spark.sparkContext
+
+  /** `Drivers.dSeq` over `db` in 4 partitions, collected. */
+  def dSeq(db: Seq[Array[Int]], dict: Dictionary, patex: String, sigma: Long,
+           rewrite: Boolean = true, earlyStop: Boolean = true): Map[Pattern, Long] =
+    Drivers.dSeq(sc, sc.parallelize(db, 4), dict, patex, sigma, rewrite, earlyStop).collect().toMap
+
+  /** `Drivers.dCand` over `db` in 4 partitions, collected. */
+  def dCand(db: Seq[Array[Int]], dict: Dictionary, patex: String, sigma: Long,
+            aggregate: Boolean = true, minimizeNfas: Boolean = true): Map[Pattern, Long] =
+    Drivers.dCand(sc, sc.parallelize(db, 4), dict, patex, sigma, aggregate, minimizeNfas).collect().toMap
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -1,13 +1,13 @@
 package repro
 
 import repro.dict.Dictionary
+import repro.fst.{Fst, FstSimulator}
 
 import java.util.Random
 import scala.collection.mutable
 
 /** Shared test helpers: a toy hierarchy, seeded random databases, a local
-  * f-list/encode pipeline (no Spark needed), and local simulations of the
-  * distributed dataflows for fast brute-force comparison.
+  * f-list/encode pipeline (no Spark needed) and brute-force pivots.
   */
 object TestGen {
 
@@ -67,57 +67,9 @@ object TestGen {
     "alt-groups"   -> "[(l2)|(l3)](top^)"
   )
 
-  // ------------------------------------------------- local dataflow mirrors
-
-  import repro.core._
-  import repro.fst.{Fst, FstCompiler}
-
-  /** Local simulation of D-SEQ's map/shuffle/reduce (Sec. V), for brute-force
-    * comparison without a SparkSession.
-    */
-  def dSeqLocal(db: IndexedSeq[Array[Int]], dict: Dictionary, patex: String, sigma: Long,
-                rewrite: Boolean = true, earlyStop: Boolean = true): Map[Pattern, Long] = {
-    val fst = FstCompiler.compile(patex, dict)
-    val maxFid = dict.maxFrequentFid(sigma)
-    val partitions = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Array[Int]]]
-    for (t <- db) {
-      val g = PivotSearch.grid(t, fst, dict, maxFid)
-      for (k <- g.pivots)
-        partitions.getOrElseUpdate(k, mutable.ArrayBuffer.empty) +=
-          (if (rewrite) PivotSearch.rewrite(t, g, k) else t)
-    }
-    partitions.iterator.flatMap { case (k, seqs) =>
-      DesqDfs.mine(seqs.toIndexedSeq.map((_, 1L)), fst, dict, sigma, maxFid,
-                   pivot = Some(k), earlyStop = earlyStop)
-    }.toMap
-  }
-
-  /** Local simulation of D-CAND's map/shuffle/reduce (Sec. VI), including the
-    * serialize → aggregate → deserialize round trip.
-    */
-  def dCandLocal(db: IndexedSeq[Array[Int]], dict: Dictionary, patex: String, sigma: Long,
-                 aggregate: Boolean = true, minimize: Boolean = true): Map[Pattern, Long] = {
-    val fst = FstCompiler.compile(patex, dict)
-    val maxFid = dict.maxFrequentFid(sigma)
-    val partitions = mutable.HashMap.empty[Int, mutable.HashMap[NfaSerializer.Bytes, Long]]
-    for (t <- db; (k, nfa) <- Nfa.buildForSequence(t, fst, dict, maxFid, minimize = minimize)) {
-      val part = partitions.getOrElseUpdate(k, mutable.HashMap.empty)
-      val bytes = NfaSerializer.serialize(nfa)
-      if (aggregate) part(bytes) = part.getOrElse(bytes, 0L) + 1L
-      else part(new NfaSerializer.Bytes(bytes.bytes :+ part.size.toByte)) = 1L // keep distinct
-    }
-    partitions.iterator.flatMap { case (k, nfas) =>
-      val weighted = nfas.iterator.map { case (b, w) =>
-        val trimmed = if (aggregate) b else new NfaSerializer.Bytes(b.bytes.dropRight(1))
-        (NfaSerializer.deserialize(trimmed), w)
-      }.toIndexedSeq
-      NfaMiner.mine(weighted, sigma, k)
-    }.toMap
-  }
-
   /** Union of pivots over `Gσπ(T)` computed the slow way — ground truth for
     * the grid DP.
     */
   def brutePivots(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Set[Int] =
-    repro.fst.FstSimulator.candidates(t, fst, dict, maxFid).map(_.max)
+    FstSimulator.candidates(t, fst, dict, maxFid).map(_.max)
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.logging.log4j.{Level, LogManager}
+import org.apache.logging.log4j.core.config.Configurator
 import org.apache.spark.SparkException
 import repro.SparkSpec
 import repro.Ex._
@@ -17,16 +19,22 @@ class BlowUpSpec extends SparkSpec {
   }
 
   test("D-CAND on Spark over the run cap fails with a BlowUpException cause") {
-    val sc = spark.sparkContext
-    val e = intercept[SparkException] {
-      Drivers.dCand(sc, sc.parallelize(db, 2), dict, piEx, 1, maxRuns = 1).collect()
-    }
+    // The failing tasks' stack traces are expected here; keep them out of the output.
+    val loggers = Seq("org.apache.spark.executor.Executor", "org.apache.spark.scheduler.TaskSetManager")
+    val levels = loggers.map(LogManager.getLogger(_).getLevel)
+    loggers.foreach(Configurator.setLevel(_, Level.OFF))
+    val e =
+      try intercept[SparkException] {
+        Drivers.dCand(sc, sc.parallelize(db, 2), dict, piEx, 1, maxRuns = 1).collect()
+      }
+      finally loggers.zip(levels).foreach { case (l, level) => Configurator.setLevel(l, level) }
     assert(BlowUpException.inCauseChain(e), e.toString)
   }
 
-  test("candidate caps count as capped in BruteForce.candidateCounts") {
-    val counts = BruteForce.candidateCounts(db, fst, 1, dict, cap = 2)
-    val full = BruteForce.candidateCounts(db, fst, 1, dict)
+  test("candidate caps count as capped in BruteForce.candidateCount") {
+    val maxFid = dict.maxFrequentFid(1)
+    val counts = db.map(BruteForce.candidateCount(_, fst, dict, maxFid, cap = 2))
+    val full = db.map(BruteForce.candidateCount(_, fst, dict, maxFid, cap = 1 << 20))
     assert(counts == full.map(c => math.min(c, 2L)))
     assert(full.exists(_ > 2))
   }

@@ -5,7 +5,9 @@ import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGen
 import repro.dict.Dictionary
-import repro.fst.{Fst, FstCompiler}
+import repro.fst.{Fst, FstCompiler, FstSimulator}
+
+import scala.collection.mutable
 
 /** Property tests (ScalaCheck) for pivot-restricted DESQ-DFS and the FST step
   * table, on random hierarchies, databases, weights and σ.
@@ -55,6 +57,57 @@ class DesqDfsPropertySpec extends AnyFunSuite {
       }
     }, tests = 150)
     assert(nonEmptyPartitions > 150, "too few pivot partitions with patterns to be a test")
+  }
+
+  test("DESQ-DFS's one backward pass == its three definitions over the accepting runs") {
+    var epsCells = 0
+    var kCells = 0
+    val input = Gen.zip(Gen.oneOf(TestGen.patterns.map(_._2)), hierarchy, weightedDb, Gen.oneOf(1L, 2L, 4L))
+    check(Prop.forAllNoShrink(input) { case (patex, parents, wdb, sigma) =>
+      val (dict, db) = TestGen.encodeLocal(wdb.map(_._1), parents)
+      val fst = FstCompiler.compile(patex, dict)
+      val maxFid = dict.maxFrequentFid(sigma)
+      db.forall { t =>
+        val runs = runsFrom(t, fst, dict)
+        val fromStart = mutable.ArrayBuffer.empty[FstSimulator.Run]
+        FstSimulator.foreachAcceptingRun(t, fst, dict)(fromStart += _)
+        val reach = FstSimulator.reachFinal(t, fst, dict)
+        val cells = DesqDfs.cells(t, fst, dict, 0, maxFid, pivot = false)
+        fromStart.map(_.toList.map(_.toSeq)) == runs(fst.initial).map(_.map(_.toSeq)) &&
+          reach.indices.forall { c =>
+            val eps = runs(c).exists(_.forall(_.sameElements(Array(0))))
+            if (eps) epsCells += 1
+            reach(c) == runs(c).nonEmpty && (cells(c) & DesqDfs.Reach) != 0 == reach(c) &&
+              (cells(c) & DesqDfs.EpsAccept) != 0 == eps && (cells(c) & DesqDfs.OutputsK) == 0
+          } &&
+          (1 to maxFid).forall { k =>
+            // Pivot mode caps items at k: every set up to the one with k has an item <= k.
+            def outputsK(run: List[Array[Int]]) = run.indices.exists(j =>
+              run(j).contains(k) && run.take(j + 1).forall(_.exists(_ <= k)))
+            val withK = DesqDfs.cells(t, fst, dict, k, k, pivot = true)
+            withK.indices.forall { c =>
+              val want = runs(c).exists(outputsK)
+              if (want) kCells += 1
+              (withK(c) & ~DesqDfs.OutputsK) == cells(c) && (withK(c) & DesqDfs.OutputsK) != 0 == want
+            }
+          }
+      }
+    }, tests = 150)
+    assert(epsCells > 100 && kCells > 1000, s"too few positive cells: ε $epsCells, k $kCells")
+  }
+
+  /** `runs(i * S + q)`: the output sets of every accepting run from `(i, q)`,
+    * enumerated with `byState`, `matches` and `outputs` instead of the step table.
+    */
+  private def runsFrom(t: Array[Int], fst: Fst, dict: Dictionary): Array[List[List[Array[Int]]]] = {
+    val s = fst.numStates
+    val runs = new Array[List[List[Array[Int]]]]((t.length + 1) * s)
+    for (q <- 0 until s) runs(t.length * s + q) = if (fst.isFinal(q)) List(Nil) else Nil
+    for (i <- t.indices.reverse; q <- 0 until s)
+      runs(i * s + q) = fst.byState(q).toList.filter(_.in.matches(t(i), dict)).flatMap { tr =>
+        runs((i + 1) * s + tr.to).map(tr.out.outputs(t(i), dict) :: _)
+      }
+    runs
   }
 
   test("step table rows equal byState(q).filter(matches) with the same outputs") {

@@ -8,18 +8,12 @@ import repro.Ex._
   */
 class DriversSpec extends SparkSpec {
 
-  private def sc = spark.sparkContext
-
   private def run(algo: String, db: IndexedSeq[Array[Int]], dict: repro.dict.Dictionary,
-                  patex: String, sigma: Long): Map[Pattern, Long] = {
-    val rdd = sc.parallelize(db, 4)
-    val res = algo match {
-      case "dseq"      => Drivers.dSeq(sc, rdd, dict, patex, sigma)
-      case "dcand"     => Drivers.dCand(sc, rdd, dict, patex, sigma)
-      case "naive"     => Drivers.naive(sc, rdd, dict, patex, sigma)
-      case "seminaive" => Drivers.semiNaive(sc, rdd, dict, patex, sigma)
-    }
-    res.collect().toMap
+                  patex: String, sigma: Long): Map[Pattern, Long] = algo match {
+    case "dseq"      => dSeq(db, dict, patex, sigma)
+    case "dcand"     => dCand(db, dict, patex, sigma)
+    case "naive"     => Drivers.naive(sc, sc.parallelize(db, 4), dict, patex, sigma).collect().toMap
+    case "seminaive" => Drivers.semiNaive(sc, sc.parallelize(db, 4), dict, patex, sigma).collect().toMap
   }
 
   private val expectedEx = Map(
@@ -59,20 +53,18 @@ class DriversSpec extends SparkSpec {
 
   test("D-SEQ options (no rewrite, no early stop) do not change results") {
     val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(63), TestGen.toyParents)
-    val rdd = sc.parallelize(dbr, 4)
     val patex = ".*(m1)[(.^).*]*(m2).*"
-    val base = Drivers.dSeq(sc, rdd, d, patex, 2).collect().toMap
-    assert(Drivers.dSeq(sc, rdd, d, patex, 2, rewrite = false).collect().toMap == base)
-    assert(Drivers.dSeq(sc, rdd, d, patex, 2, earlyStop = false).collect().toMap == base)
+    val base = dSeq(dbr, d, patex, 2)
+    assert(dSeq(dbr, d, patex, 2, rewrite = false) == base)
+    assert(dSeq(dbr, d, patex, 2, earlyStop = false) == base)
   }
 
   test("D-CAND options (no aggregation, no minimization) do not change results") {
     val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(64), TestGen.toyParents)
-    val rdd = sc.parallelize(dbr, 4)
     val patex = "(.)[.{0,1}(.)]{1,2}"
-    val base = Drivers.dCand(sc, rdd, d, patex, 2).collect().toMap
-    assert(Drivers.dCand(sc, rdd, d, patex, 2, aggregate = false).collect().toMap == base)
-    assert(Drivers.dCand(sc, rdd, d, patex, 2, minimizeNfas = false).collect().toMap == base)
+    val base = dCand(dbr, d, patex, 2)
+    assert(dCand(dbr, d, patex, 2, aggregate = false) == base)
+    assert(dCand(dbr, d, patex, 2, minimizeNfas = false) == base)
   }
 
   test("each frequent subsequence is emitted exactly once (no duplicate keys)") {

@@ -1,39 +1,19 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.{Ex, TestGen}
-import repro.Ex._
+import repro.{SparkSpec, TestGen}
 
-/** End-to-end equivalence of the D-SEQ dataflow (map: grid + rewrite;
-  * shuffle: group by pivot; reduce: restricted DESQ-DFS) against brute force,
-  * plus D-SEQ vs D-CAND cross-checks — all without Spark for speed. The Spark
-  * drivers run the identical code paths (see DriversSpec).
+/** The D-SEQ and D-CAND drivers on local-mode Spark against brute force and
+  * each other, over more seeds, thresholds and ablation flags than
+  * `DriversSpec`.
   */
-class LocalDataflowSpec extends AnyFunSuite {
-
-  test("D-SEQ local dataflow reproduces the running example (σ=2)") {
-    val got = TestGen.dSeqLocal(db, dict, piEx, 2)
-    assert(got == Map(
-      Pattern(a1, a1, b) -> 2L,
-      Pattern(a1, A, b) -> 2L,
-      Pattern(a1, b) -> 3L))
-  }
-
-  test("D-CAND local dataflow reproduces the running example (σ=2)") {
-    val got = TestGen.dCandLocal(db, dict, piEx, 2)
-    assert(got == Map(
-      Pattern(a1, a1, b) -> 2L,
-      Pattern(a1, A, b) -> 2L,
-      Pattern(a1, b) -> 3L))
-  }
+class LocalDataflowSpec extends SparkSpec {
 
   for ((name, patex) <- TestGen.patterns; seed <- Seq(51, 52)) {
     test(s"D-SEQ local == brute force [$name, seed=$seed]") {
       val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(seed), TestGen.toyParents)
       for (sigma <- Seq(1L, 2L, 4L)) {
-        val got = TestGen.dSeqLocal(dbr, d, patex, sigma)
         val want = BruteForce.mine(dbr, patex, sigma, d)
-        assert(got == want, s"sigma=$sigma")
+        assert(dSeq(dbr, d, patex, sigma) == want, s"sigma=$sigma")
       }
     }
   }
@@ -43,8 +23,8 @@ class LocalDataflowSpec extends AnyFunSuite {
       val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(seed), TestGen.toyParents)
       val sigma = 2L
       val want = BruteForce.mine(dbr, patex, sigma, d)
-      assert(TestGen.dSeqLocal(dbr, d, patex, sigma, rewrite = false) == want, "no rewrite")
-      assert(TestGen.dSeqLocal(dbr, d, patex, sigma, earlyStop = false) == want, "no early stop")
+      assert(dSeq(dbr, d, patex, sigma, rewrite = false) == want, "no rewrite")
+      assert(dSeq(dbr, d, patex, sigma, earlyStop = false) == want, "no early stop")
     }
   }
 
@@ -52,7 +32,7 @@ class LocalDataflowSpec extends AnyFunSuite {
     test(s"D-SEQ == D-CAND [$name, seed=$seed]") {
       val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 40), TestGen.toyParents)
       val sigma = 3L
-      assert(TestGen.dSeqLocal(dbr, d, patex, sigma) == TestGen.dCandLocal(dbr, d, patex, sigma))
+      assert(dSeq(dbr, d, patex, sigma) == dCand(dbr, d, patex, sigma))
     }
   }
 
@@ -61,8 +41,8 @@ class LocalDataflowSpec extends AnyFunSuite {
       TestGen.randomDb(99, nSeqs = 20, maxLen = 14), TestGen.toyParents)
     for ((_, patex) <- TestGen.patterns.take(8)) {
       val want = BruteForce.mine(dbr, patex, 2, d)
-      assert(TestGen.dSeqLocal(dbr, d, patex, 2) == want)
-      assert(TestGen.dCandLocal(dbr, d, patex, 2) == want)
+      assert(dSeq(dbr, d, patex, 2) == want)
+      assert(dCand(dbr, d, patex, 2) == want)
     }
   }
 }

@@ -1,11 +1,10 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.{Ex, TestGen}
+import repro.{SparkSpec, TestGen}
 import repro.Ex._
 import repro.fst.FstCompiler
 
-class NfaMinerSpec extends AnyFunSuite {
+class NfaMinerSpec extends SparkSpec {
 
   private lazy val fst = FstCompiler.compile(piEx, dict)
 
@@ -64,15 +63,14 @@ class NfaMinerSpec extends AnyFunSuite {
     assert(NfaMiner.mine(IndexedSeq.empty, 1, 1).isEmpty)
   }
 
-  // ------------------------- randomized: full D-CAND local flowVs brute force
+  // --------------------------- randomized: the D-CAND driver vs brute force
 
   for ((name, patex) <- TestGen.patterns; seed <- Seq(41, 42)) {
     test(s"D-CAND local dataflow == brute force [$name, seed=$seed]") {
       val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(seed), TestGen.toyParents)
       for (sigma <- Seq(1L, 2L, 4L)) {
-        val got = TestGen.dCandLocal(dbr, d, patex, sigma)
         val want = BruteForce.mine(dbr, patex, sigma, d)
-        assert(got == want, s"sigma=$sigma")
+        assert(dCand(dbr, d, patex, sigma) == want, s"sigma=$sigma")
       }
     }
   }
@@ -82,8 +80,8 @@ class NfaMinerSpec extends AnyFunSuite {
       val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 15), TestGen.toyParents)
       val sigma = 2L
       val want = BruteForce.mine(dbr, patex, sigma, d)
-      assert(TestGen.dCandLocal(dbr, d, patex, sigma, aggregate = false) == want, "no agg")
-      assert(TestGen.dCandLocal(dbr, d, patex, sigma, minimize = false) == want, "no minimize")
+      assert(dCand(dbr, d, patex, sigma, aggregate = false) == want, "no agg")
+      assert(dCand(dbr, d, patex, sigma, minimizeNfas = false) == want, "no minimize")
     }
   }
 }

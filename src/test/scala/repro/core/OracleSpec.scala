@@ -54,7 +54,7 @@ class OracleSpec extends SparkSpec {
 
   test("unigram mining `(.)` equals SQL distinct-document counting") {
     val sigma = 3L
-    val res = TestGen.dSeqLocal(dbT, dictT, "(.)", sigma)
+    val res = dSeq(dbT, dictT, "(.)", sigma)
     Oracle.assertEquivalent(
       resultDf(res, 1),
       s"SELECT item AS i1, COUNT(DISTINCT sid) AS freq FROM tokens GROUP BY item " +
@@ -64,7 +64,7 @@ class OracleSpec extends SparkSpec {
 
   test("generalized unigram mining `(.^)` equals SQL over the ancestor expansion") {
     val sigma = 3L
-    val res = TestGen.dSeqLocal(dbT, dictT, "(.^)", sigma)
+    val res = dSeq(dbT, dictT, "(.^)", sigma)
     Oracle.assertEquivalent(
       resultDf(res, 1),
       s"SELECT item AS i1, COUNT(DISTINCT sid) AS freq FROM anctok GROUP BY item " +
@@ -74,7 +74,7 @@ class OracleSpec extends SparkSpec {
 
   test("consecutive bigram mining `(.)(.)`  equals SQL positional self-join") {
     val sigma = 2L
-    val res = TestGen.dCandLocal(dbT, dictT, "(.)(.)", sigma)
+    val res = dCand(dbT, dictT, "(.)(.)", sigma)
     Oracle.assertEquivalent(
       resultDf(res, 2),
       s"""SELECT a.item AS i1, b.item AS i2, COUNT(DISTINCT a.sid) AS freq
@@ -86,7 +86,7 @@ class OracleSpec extends SparkSpec {
 
   test("gapped bigram mining `(.)[.{0,1}(.)]{1,1}` equals SQL with gap <= 1") {
     val sigma = 2L
-    val res = TestGen.dSeqLocal(dbT, dictT, "(.)[.{0,1}(.)]{1,1}", sigma)
+    val res = dSeq(dbT, dictT, "(.)[.{0,1}(.)]{1,1}", sigma)
     Oracle.assertEquivalent(
       resultDf(res.filter(_._1.length == 2), 2),
       s"""SELECT a.item AS i1, b.item AS i2, COUNT(DISTINCT a.sid) AS freq
@@ -99,7 +99,7 @@ class OracleSpec extends SparkSpec {
 
   test("arbitrary-gap pair mining (T1 with λ=2) equals SQL any-later-position join") {
     val sigma = 3L
-    val res = TestGen.dSeqLocal(dbT, dictT, "(.)[.*(.)]{1,1}", sigma)
+    val res = dSeq(dbT, dictT, "(.)[.*(.)]{1,1}", sigma)
     Oracle.assertEquivalent(
       resultDf(res.filter(_._1.length == 2), 2),
       s"""SELECT a.item AS i1, b.item AS i2, COUNT(DISTINCT a.sid) AS freq

@@ -67,29 +67,29 @@ class PivotSearchSpec extends AnyFunSuite {
   // ------------------------------------------------------------------- grid
 
   test("K(T1) = {a1, c} (Fig 3)") {
-    assert(pivots(T1, fst, dict, dict.maxFrequentFid(2)).toSet == Set(a1, c))
+    assert(grid(T1, fst, dict, dict.maxFrequentFid(2)).pivots.toSet == Set(a1, c))
   }
 
   test("K(T2) = {a1} with σ=2 (e is excluded early)") {
-    assert(pivots(T2, fst, dict, dict.maxFrequentFid(2)).toSet == Set(a1))
+    assert(grid(T2, fst, dict, dict.maxFrequentFid(2)).pivots.toSet == Set(a1))
   }
 
   test("K(T2) = {a1, e} without σ-filter (Sec V-A grid example)") {
-    assert(pivots(T2, fst, dict, -1).toSet == Set(a1, e))
+    assert(grid(T2, fst, dict, -1).pivots.toSet == Set(a1, e))
   }
 
   test("K(T3) is empty, K(T4) = {a2} unfiltered / empty with σ=2, K(T5) = {a1}") {
     val maxFid = dict.maxFrequentFid(2)
-    assert(pivots(T3, fst, dict, maxFid).isEmpty)
-    assert(pivots(T4, fst, dict, -1).toSet == Set(a2))
-    assert(pivots(T4, fst, dict, maxFid).isEmpty)
-    assert(pivots(T5, fst, dict, maxFid).toSet == Set(a1))
+    assert(grid(T3, fst, dict, maxFid).pivots.isEmpty)
+    assert(grid(T4, fst, dict, -1).pivots.toSet == Set(a2))
+    assert(grid(T4, fst, dict, maxFid).pivots.isEmpty)
+    assert(grid(T5, fst, dict, maxFid).pivots.toSet == Set(a1))
   }
 
   test("grid pivots match brute-force pivots on the whole running example") {
     for (t <- db; sigma <- Seq(1L, 2L, 3L)) {
       val maxFid = dict.maxFrequentFid(sigma)
-      val got = pivots(t, fst, dict, maxFid).toSet
+      val got = grid(t, fst, dict, maxFid).pivots.toSet
       assert(got == TestGen.brutePivots(t, fst, dict, maxFid),
         s"t=${t.mkString(",")} sigma=$sigma")
     }
@@ -123,7 +123,7 @@ class PivotSearchSpec extends AnyFunSuite {
       val f = FstCompiler.compile(patex, d)
       for (t <- db; sigma <- Seq(1L, 3L)) {
         val maxFid = d.maxFrequentFid(sigma)
-        val got = pivots(t, f, d, maxFid).toSet
+        val got = grid(t, f, d, maxFid).pivots.toSet
         val want = TestGen.brutePivots(t, f, d, maxFid)
         assert(got == want, s"t=${t.map(d.name).mkString(" ")} sigma=$sigma")
       }

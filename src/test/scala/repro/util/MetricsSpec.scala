@@ -4,7 +4,6 @@ import repro.SparkSpec
 
 class MetricsSpec extends SparkSpec {
 
-  private def sc = spark.sparkContext
 
   test("wallMillis times the action only, with no fixed 200 ms added") {
     val m = Metrics.measure(spark)(42L)
