@@ -1,9 +1,11 @@
 package repro.core
 
-import org.apache.spark.SparkContext
+import org.apache.spark.{Partitioner, SparkContext}
 import org.apache.spark.rdd.RDD
 import repro.dict.Dictionary
 import repro.fst.{Fst, FstCompiler, FstSimulator}
+
+import scala.collection.mutable
 
 /** Distributed FSM drivers (Alg. 1 of the paper): map over input sequences,
   * one round of shuffle, then mine each partition independently.
@@ -55,9 +57,12 @@ object Drivers {
 
   /** D-CAND (Sec. VI): item-based partitioning with candidate representation.
     * The map phase encodes each sequence's pivot-k candidates as a minimized
-    * NFA and serializes it; identical NFAs are aggregated into weighted ones
-    * (the `reduceByKey` acts as the MapReduce combine); the reduce phase
-    * counts candidates directly on the compressed NFAs.
+    * NFA and serializes it. One shuffle sends every `(k, nfa)` record to the
+    * partition of pivot `k`: with `aggregate`, a `reduceByKey` under that
+    * pivot partitioner merges identical NFAs into weighted ones, map-side
+    * (the MapReduce combine) and again on the reduce side. Each reduce
+    * partition then groups its NFAs by pivot and counts candidates directly
+    * on the compressed NFAs, one pivot at a time.
     */
   def dCand(
       sc: SparkContext,
@@ -73,7 +78,7 @@ object Drivers {
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
-    val parts = sc.defaultParallelism
+    val byPivot = new PivotPartitioner(sc.defaultParallelism)
 
     val perSeq = sequences.flatMap { t =>
       Nfa.buildForSequence(t, bcFst.value, bcDict.value, maxFid, maxRuns,
@@ -81,16 +86,29 @@ object Drivers {
         .iterator.map { case (k, nfa) => ((k, NfaSerializer.serialize(nfa)), 1L) }
     }
     val weighted =
-      if (aggregate) perSeq.reduceByKey(_ + _, parts)
-      else perSeq // identical NFAs stay separate — the "no agg" ablation
-    weighted
-      .map { case ((k, bytes), w) => (k, (bytes, w)) }
-      .groupByKey(parts)
-      .flatMap { case (k, nfas) =>
+      if (aggregate) perSeq.reduceByKey(byPivot, _ + _)
+      else perSeq.partitionBy(byPivot) // identical NFAs stay separate — the "no agg" ablation
+    weighted.mapPartitions { records =>
+      val byK = mutable.HashMap.empty[Int, mutable.ArrayBuffer[(NfaSerializer.Bytes, Long)]]
+      for (((k, bytes), w) <- records)
+        byK.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += ((bytes, w))
+      // NFAs stay serialized until their pivot is mined.
+      byK.iterator.flatMap { case (k, nfas) =>
         NfaMiner.mine(
           nfas.iterator.map { case (b, w) => (NfaSerializer.deserialize(b), w) }.toIndexedSeq,
           sigma, k)
       }
+    }
+  }
+
+  /** Places a `(pivot, nfa)` key by its pivot alone, as a `HashPartitioner`
+    * over the pivot would, so that all NFAs of one pivot meet in one reduce
+    * partition while identical NFAs are still merged by the whole key.
+    */
+  private final class PivotPartitioner(val numPartitions: Int) extends Partitioner {
+    def getPartition(key: Any): Int = key match {
+      case (k: Int, _) => java.lang.Math.floorMod(k, numPartitions)
+    }
   }
 
   /** NAIVE (Sec. III-A): subsequence-based partitioning — generate every

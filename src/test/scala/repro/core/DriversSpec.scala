@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.ShuffleDependency
+import org.apache.spark.rdd.RDD
 import repro.{Ex, SparkSpec, TestGen}
 import repro.Ex._
 
@@ -65,6 +67,32 @@ class DriversSpec extends SparkSpec {
     val base = dCand(dbr, d, patex, 2)
     assert(dCand(dbr, d, patex, 2, aggregate = false) == base)
     assert(dCand(dbr, d, patex, 2, minimizeNfas = false) == base)
+
+    // Twelve copies of eight sequences, three in each of the 4 input
+    // partitions: identical NFAs meet inside one input partition (map-side
+    // combine) and across partitions (reduce side).
+    val (d2, copies) = TestGen.encodeLocal(
+      Seq.fill(12)(TestGen.randomDb(66, nSeqs = 8)).flatten, TestGen.toyParents)
+    val sigma = 24L
+    val want = BruteForce.mine(copies, patex, sigma, d2)
+    assert(want.keySet.map(_.pivot).size >= 2)
+    assert(dCand(copies, d2, patex, sigma) == want)
+    assert(dCand(copies, d2, patex, sigma, aggregate = false) == want)
+  }
+
+  test("every driver runs exactly one shuffle round") {
+    def shuffles(rdd: RDD[_]): Int = rdd.dependencies.map {
+      case s: ShuffleDependency[_, _, _] => 1 + shuffles(s.rdd)
+      case n                             => shuffles(n.rdd)
+    }.sum
+    val in = sc.parallelize(db, 4)
+    val drivers = Seq(
+      "dseq" -> Drivers.dSeq(sc, in, dict, piEx, 2),
+      "dcand" -> Drivers.dCand(sc, in, dict, piEx, 2),
+      "dcand without aggregation" -> Drivers.dCand(sc, in, dict, piEx, 2, aggregate = false),
+      "naive" -> Drivers.naive(sc, in, dict, piEx, 2),
+      "seminaive" -> Drivers.semiNaive(sc, in, dict, piEx, 2))
+    for ((name, rdd) <- drivers) assert(shuffles(rdd) == 1, name)
   }
 
   test("each frequent subsequence is emitted exactly once (no duplicate keys)") {
