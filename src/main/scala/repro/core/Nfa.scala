@@ -20,20 +20,6 @@ final class Nfa(
 ) extends Serializable {
   def numStates: Int = isFinal.length
   def numEdges: Int = edges.iterator.map(_.length).sum
-
-  /** Enumerate the accepted language (distinct candidate sequences). Only for
-    * tests/small NFAs — mining works on the NFA directly.
-    */
-  def language(cap: Int = 1 << 20): Set[List[Int]] = {
-    val out = mutable.Set.empty[List[Int]]
-    def rec(q: Int, acc: List[Int]): Unit = {
-      if (out.size > cap) throw new IllegalStateException("language too large")
-      if (isFinal(q)) out += acc.reverse
-      for ((label, t) <- edges(q); w <- label) rec(t, w :: acc)
-    }
-    rec(0, Nil)
-    out.toSet
-  }
 }
 
 object Nfa {

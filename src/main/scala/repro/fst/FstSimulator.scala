@@ -4,8 +4,8 @@ import repro.dict.Dictionary
 
 import scala.collection.mutable
 
-/** FST simulation: reachability DPs, accepting-run enumeration and candidate
-  * generation `Gπ(T)` (Sec. IV of the paper).
+/** FST simulation: the backward floor DP, accepting-run enumeration and
+  * candidate generation `Gπ(T)` (Sec. IV of the paper).
   *
   * All methods work on fid-encoded sequences. Output sets are sorted
   * `Array[Int]` with fid 0 = ε.
@@ -18,30 +18,37 @@ object FstSimulator {
     */
   type Run = IndexedSeq[Array[Int]]
 
-  /** `reach(i * S + q)`, `S = fst.numStates` — can the FST consume
-    * `t(i+1..n)` starting in state `q` and end in a final state? Backward DP,
-    * O(|T|·|Δ|). Index `i` ranges 0..n.
+  /** `floor(i * S + q)`, `S = fst.numStates`: the smallest possible largest
+    * set floor over the accepting runs that consume `t(i+1..n)` from state
+    * `q`. A set's floor is its smallest item `<= cap`, ε = 0 included; a run
+    * through a set with no such item does not count. `Int.MaxValue` when no
+    * run counts, so with `cap = Int.MaxValue` a finite entry means the cell
+    * reaches a final state. Backward DP, O(|T|·|Δ|). Index `i` ranges 0..n.
     */
-  def reachFinal(t: Array[Int], fst: Fst, dict: Dictionary): Array[Boolean] = {
+  def floors(t: Array[Int], fst: Fst, dict: Dictionary, cap: Int): Array[Int] = {
     val n = t.length
     val s = fst.numStates
-    val reach = new Array[Boolean]((n + 1) * s)
-    System.arraycopy(fst.isFinal, 0, reach, n * s, s)
+    val floor = new Array[Int]((n + 1) * s)
+    for (q <- 0 until s) floor(n * s + q) = if (fst.isFinal(q)) 0 else Int.MaxValue
     var i = n - 1
     while (i >= 0) {
       val row = fst.steps(t(i), dict)
       val next = (i + 1) * s
       var q = 0
       while (q < s) {
+        var best = Int.MaxValue
         var j = row.start(q)
-        val end = row.start(q + 1)
-        while (j < end && !reach(next + row.to(j))) j += 1
-        reach(i * s + q) = j < end
+        while (j < row.start(q + 1)) {
+          val o0 = row.out(j)(0)
+          if (o0 <= cap) best = math.min(best, math.max(o0, floor(next + row.to(j))))
+          j += 1
+        }
+        floor(i * s + q) = best
         q += 1
       }
       i -= 1
     }
-    reach
+    floor
   }
 
   /** Stream all accepting runs of `t` (as sequences of output sets) to `f`
@@ -52,7 +59,7 @@ object FstSimulator {
   def foreachAcceptingRun(t: Array[Int], fst: Fst, dict: Dictionary,
                           maxRuns: Int = 1 << 20)(f: Run => Unit): Unit = {
     val n = t.length
-    val reach = reachFinal(t, fst, dict)
+    val floor = floors(t, fst, dict, Int.MaxValue)
     var count = 0
     val cur = new Array[Array[Int]](n)
     def rec(i: Int, q: Int): Unit = {
@@ -69,7 +76,7 @@ object FstSimulator {
       val next = (i + 1) * fst.numStates
       var j = row.start(q)
       while (j < row.start(q + 1)) {
-        if (reach(next + row.to(j))) {
+        if (floor(next + row.to(j)) < Int.MaxValue) {
           cur(i) = row.out(j)
           rec(i + 1, row.to(j))
         }

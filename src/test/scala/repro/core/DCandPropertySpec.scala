@@ -3,9 +3,14 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGen
+import repro.fst.{FstCompiler, FstSimulator}
 
-/** Property tests (ScalaCheck) for D-CAND's packed-key layers against their
-  * definitions: the `⊕` fold, the trie language, and brute-force counting.
+import scala.collection.mutable
+
+/** Property tests (ScalaCheck) for the pivot search and D-CAND's packed-key
+  * layers against their definitions: the `⊕` fold, the trie language, and
+  * brute-force counting.
   */
 class DCandPropertySpec extends AnyFunSuite {
 
@@ -16,26 +21,31 @@ class DCandPropertySpec extends AnyFunSuite {
   }
 
   test("pivotsOfRun equals the ⊕ fold over the σ-filtered output sets") {
-    def fold(run: IndexedSeq[Array[Int]], maxFid: Int): Array[Int] = {
-      var acc = Array(0)
-      for (os <- run) {
-        val o = if (maxFid < 0) os else os.filter(_ <= maxFid)
-        if (o.isEmpty) return Array.empty
-        acc = PivotSearch.oplus(acc, o)
-      }
-      acc.filter(_ != 0)
-    }
     check(Prop.forAllNoShrink(NfaGen.run, Gen.choose(-1, 13)) { (run, maxFid) =>
-      PivotSearch.pivotsOfRun(run, maxFid).toSeq == fold(run, maxFid).toSeq
+      PivotSearch.pivotsOfRun(run, maxFid).toSeq == PivotFold.fold(run, maxFid).toSeq
     }, tests = 2000)
+  }
+
+  test("grid pivots equal the union over accepting runs of the ⊕ fold") {
+    val input = Gen.zip(Gen.oneOf(TestGen.patterns.map(_._2)), Gen.choose(0L, 1L << 20), Gen.choose(1L, 4L))
+    check(Prop.forAllNoShrink(input) { case (patex, seed, sigma) =>
+      val (dict, db) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 8, maxLen = 8), TestGen.toyParents)
+      val fst = FstCompiler.compile(patex, dict)
+      val maxFid = dict.maxFrequentFid(sigma)
+      db.forall { t =>
+        val want = mutable.SortedSet.empty[Int]
+        FstSimulator.foreachAcceptingRun(t, fst, dict)(want ++= PivotFold.fold(_, maxFid))
+        PivotSearch.grid(t, fst, dict, maxFid).pivots.toSeq == want.toSeq
+      }
+    }, tests = 200)
   }
 
   test("minimize preserves the trie's language and is idempotent in state count") {
     check(Prop.forAllNoShrink(NfaGen.trieRuns) { runs =>
       val raw = NfaGen.trieOf(runs)
       val min = Nfa.minimize(raw)
-      min.language() == raw.language() &&
-        min.language() == runs.flatMap(r => cartesian(r.toList)).toSet &&
+      NfaGen.language(min) == NfaGen.language(raw) &&
+        NfaGen.language(min) == runs.flatMap(r => cartesian(r.toList)).toSet &&
         min.numStates <= raw.numStates &&
         Nfa.minimize(min).numStates == min.numStates
     })
@@ -43,7 +53,7 @@ class DCandPropertySpec extends AnyFunSuite {
 
   test("minimize preserves the language of acyclic NFAs with overlapping paths") {
     check(Prop.forAllNoShrink(NfaGen.acyclicNfa) { nfa =>
-      Nfa.minimize(nfa).language() == nfa.language()
+      NfaGen.language(Nfa.minimize(nfa)) == NfaGen.language(nfa)
     })
   }
 
@@ -56,7 +66,7 @@ class DCandPropertySpec extends AnyFunSuite {
     } yield (nfas.toIndexedSeq, sigma, pivot)
     check(Prop.forAllNoShrink(input) { case (nfas, sigma, pivot) =>
       val support = nfas
-        .flatMap { case (nfa, w) => nfa.language().toSeq.map(_ -> w) }
+        .flatMap { case (nfa, w) => NfaGen.language(nfa).toSeq.map(_ -> w) }
         .groupMapReduce(_._1)(_._2)(_ + _)
       val want = support.collect {
         case (p, s) if s >= sigma && p.contains(pivot) => Pattern.fromList(p) -> s

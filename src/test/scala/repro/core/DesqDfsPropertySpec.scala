@@ -62,6 +62,7 @@ class DesqDfsPropertySpec extends AnyFunSuite {
   test("DESQ-DFS's one backward pass == its three definitions over the accepting runs") {
     var epsCells = 0
     var kCells = 0
+    var cappedCells = 0
     val input = Gen.zip(Gen.oneOf(TestGen.patterns.map(_._2)), hierarchy, weightedDb, Gen.oneOf(1L, 2L, 4L))
     check(Prop.forAllNoShrink(input) { case (patex, parents, wdb, sigma) =>
       val (dict, db) = TestGen.encodeLocal(wdb.map(_._1), parents)
@@ -71,13 +72,17 @@ class DesqDfsPropertySpec extends AnyFunSuite {
         val runs = runsFrom(t, fst, dict)
         val fromStart = mutable.ArrayBuffer.empty[FstSimulator.Run]
         FstSimulator.foreachAcceptingRun(t, fst, dict)(fromStart += _)
-        val reach = FstSimulator.reachFinal(t, fst, dict)
+        val floors = FstSimulator.floors(t, fst, dict, Int.MaxValue)
+        val capped = FstSimulator.floors(t, fst, dict, maxFid)
         val cells = DesqDfs.cells(t, fst, dict, 0, maxFid, pivot = false)
         fromStart.map(_.toList.map(_.toSeq)) == runs(fst.initial).map(_.map(_.toSeq)) &&
-          reach.indices.forall { c =>
+          cells.indices.forall { c =>
             val eps = runs(c).exists(_.forall(_.sameElements(Array(0))))
             if (eps) epsCells += 1
-            reach(c) == runs(c).nonEmpty && (cells(c) & DesqDfs.Reach) != 0 == reach(c) &&
+            if (capped(c) != floors(c)) cappedCells += 1
+            floors(c) == leastFloor(runs(c), Int.MaxValue) && (floors(c) < Int.MaxValue) == runs(c).nonEmpty &&
+              capped(c) == leastFloor(runs(c), maxFid) &&
+              (cells(c) & DesqDfs.Reach) != 0 == runs(c).nonEmpty &&
               (cells(c) & DesqDfs.EpsAccept) != 0 == eps && (cells(c) & DesqDfs.OutputsK) == 0
           } &&
           (1 to maxFid).forall { k =>
@@ -94,7 +99,17 @@ class DesqDfsPropertySpec extends AnyFunSuite {
       }
     }, tests = 150)
     assert(epsCells > 100 && kCells > 1000, s"too few positive cells: ε $epsCells, k $kCells")
+    assert(cappedCells > 100, s"too few cells where σ changes the floor: $cappedCells")
   }
+
+  /** `FstSimulator.floors`' definition: over `runs`, the least largest set
+    * floor, a set's floor being its smallest item `<= cap`; runs through a
+    * set without one do not count.
+    */
+  private def leastFloor(runs: List[List[Array[Int]]], cap: Int): Int =
+    runs.filter(_.forall(_.exists(_ <= cap)))
+      .map(_.map(_.filter(_ <= cap).min).maxOption.getOrElse(0))
+      .minOption.getOrElse(Int.MaxValue)
 
   /** `runs(i * S + q)`: the output sets of every accepting run from `(i, q)`,
     * enumerated with `byState`, `matches` and `outputs` instead of the step table.

@@ -2,8 +2,26 @@ package repro.core
 
 import org.scalacheck.Gen
 
-/** Test builders and ScalaCheck generators for NFAs and runs. */
+import scala.collection.mutable
+
+/** Test builders, ScalaCheck generators and a language reader for NFAs and
+  * runs.
+  */
 object NfaGen {
+
+  /** The language `nfa` accepts (distinct candidate sequences), enumerated;
+    * only for small NFAs.
+    */
+  def language(nfa: Nfa, cap: Int = 1 << 20): Set[List[Int]] = {
+    val out = mutable.Set.empty[List[Int]]
+    def rec(q: Int, acc: List[Int]): Unit = {
+      if (out.size > cap) throw new IllegalStateException("language too large")
+      if (nfa.isFinal(q)) out += acc.reverse
+      for ((label, t) <- nfa.edges(q); w <- label) rec(t, w :: acc)
+    }
+    rec(0, Nil)
+    out.toSet
+  }
 
   /** The trie of `runs` (sequences of output sets), built like
     * [[Nfa.buildForSequence]] builds one pivot's trie.

@@ -14,7 +14,7 @@ class NfaSpec extends AnyFunSuite {
   test("Fig 8: NFA for ρa1(T5) accepts exactly {a1b, a1a1b, a1Ab}") {
     val nfas = Nfa.buildForSequence(T5, fst, dict, dict.maxFrequentFid(2))
     assert(nfas.keySet == Set(a1))
-    assert(nfas(a1).language() ==
+    assert(NfaGen.language(nfas(a1)) ==
       Set(List(a1, b), List(a1, a1, b), List(a1, A, b)))
   }
 
@@ -27,10 +27,10 @@ class NfaSpec extends AnyFunSuite {
   test("Fig 7: NFAs for T1 split candidates between pivots c and a1") {
     val nfas = Nfa.buildForSequence(T1, fst, dict, dict.maxFrequentFid(2))
     assert(nfas.keySet == Set(a1, c))
-    assert(nfas(c).language() == Set(
+    assert(NfaGen.language(nfas(c)) == Set(
       List(a1, c, d, c, b), List(a1, c, d, b), List(a1, c, b),
       List(a1, d, c, b), List(a1, c, c, b)))
-    assert(nfas(a1).language() == Set(List(a1, d, b), List(a1, b)))
+    assert(NfaGen.language(nfas(a1)) == Set(List(a1, d, b), List(a1, b)))
   }
 
   test("Fig 7c: minimized NFA for ρc(T1) has 7 vertices and 10 edges") {
@@ -56,7 +56,7 @@ class NfaSpec extends AnyFunSuite {
       val raw = Nfa.buildForSequence(t, fst, dict, maxFid, minimize = false)
       assert(min.keySet == raw.keySet)
       for (k <- min.keySet) {
-        assert(min(k).language() == raw(k).language(), s"pivot ${dict.name(k)}")
+        assert(NfaGen.language(min(k)) == NfaGen.language(raw(k)), s"pivot ${dict.name(k)}")
         assert(min(k).numStates <= raw(k).numStates)
       }
     }
@@ -68,7 +68,7 @@ class NfaSpec extends AnyFunSuite {
       val cands = FstSimulator.candidates(t, fst, dict, maxFid)
       val nfas = Nfa.buildForSequence(t, fst, dict, maxFid)
       for (k <- nfas.keySet) {
-        val accepted = nfas(k).language()
+        val accepted = NfaGen.language(nfas(k))
         val wanted = cands.filter(_.max == k)
         // the NFA may accept extra lower-pivot sequences (filtered later in
         // mining) but must contain exactly the pivot-k candidates among
@@ -85,7 +85,7 @@ class NfaSpec extends AnyFunSuite {
       val maxFid = dict.maxFrequentFid(sigma)
       for ((k, nfa) <- Nfa.buildForSequence(t, fst, dict, maxFid)) {
         val rt = NfaSerializer.deserialize(NfaSerializer.serialize(nfa))
-        assert(rt.language() == nfa.language(), s"pivot ${dict.name(k)}")
+        assert(NfaGen.language(rt) == NfaGen.language(nfa), s"pivot ${dict.name(k)}")
       }
     }
   }
@@ -145,10 +145,10 @@ class NfaSpec extends AnyFunSuite {
           Seq.fill(1 + r.nextInt(4))(Array.fill(1 + r.nextInt(3))(1 + r.nextInt(5)).distinct.sorted)
         })
         val min = Nfa.minimize(raw)
-        assert(min.language() == raw.language())
+        assert(NfaGen.language(min) == NfaGen.language(raw))
         assert(min.numStates <= raw.numStates)
         val rt = NfaSerializer.deserialize(NfaSerializer.serialize(min))
-        assert(rt.language() == min.language())
+        assert(NfaGen.language(rt) == NfaGen.language(min))
       }
     }
   }
@@ -164,7 +164,7 @@ class NfaSpec extends AnyFunSuite {
         assert(nfas.keySet == cands.map(_.max), "pivot key sets differ")
         for (k <- nfas.keySet) {
           val rt = NfaSerializer.deserialize(NfaSerializer.serialize(nfas(k)))
-          assert(rt.language().filter(_.max == k) == cands.filter(_.max == k))
+          assert(NfaGen.language(rt).filter(_.max == k) == cands.filter(_.max == k))
         }
       }
     }

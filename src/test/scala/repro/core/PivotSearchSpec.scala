@@ -8,11 +8,12 @@ import repro.fst.FstCompiler
 import java.util.Random
 
 class PivotSearchSpec extends AnyFunSuite {
+  import PivotFold.oplus
   import PivotSearch._
 
   private lazy val fst = FstCompiler.compile(piEx, dict)
 
-  // ------------------------------------------------------------------ oplus
+  // ------------------------------------------- ⊕, the reference in PivotFold
 
   test("⊕ example from Sec V-A: {b,c} ⊕ {A} ⊕ {d,a1} = {c,d,a1}") {
     val r = oplus(oplus(Array(b, c), Array(A)), Array(d, a1))
@@ -100,6 +101,21 @@ class PivotSearchSpec extends AnyFunSuite {
   test("Sec V-B: ρa1(T2) = a1ea1eb — leading irrelevant e's dropped") {
     val g = grid(T2, fst, dict, dict.maxFrequentFid(2))
     assert(rewrite(T2, g, a1).toSeq == Seq(a1, e, a1, e, b))
+  }
+
+  test("σ-aware backward pass: ρa1(d e a1) drops d e, whose runs must output infrequent e") {
+    // Capturing d at position 0 reaches a final state only by capturing e
+    // next; with σ = 2 e is infrequent, so no surviving edge starts there.
+    val f = FstCompiler.compile("[(d)(e)]{0,1}(A)", dict)
+    val t = Array(d, e, a1)
+    val maxFid = dict.maxFrequentFid(2)
+    val g = grid(t, f, dict, maxFid)
+    assert(g.pivots.toSeq == Seq(a1))
+    assert(rewrite(t, g, a1).toSeq == Seq(a1))
+    assert(rewrite(t, grid(t, f, dict, -1), a1).toSeq == t.toSeq, "without σ the d e branch is feasible")
+    val before = repro.fst.FstSimulator.candidates(t, f, dict, maxFid).filter(_.max == a1)
+    val after = repro.fst.FstSimulator.candidates(rewrite(t, g, a1), f, dict, maxFid).filter(_.max == a1)
+    assert(before == Set(List(a1)) && after == before)
   }
 
   test("rewrite never drops relevant positions: candidates for the pivot agree") {
