@@ -72,7 +72,7 @@ object Drivers {
       sigma: Long,
       aggregate: Boolean = true,
       minimizeNfas: Boolean = true,
-      maxRuns: Int = 1 << 20
+      maxNodes: Int = 1 << 20
   ): RDD[(Pattern, Long)] = {
     val fst = FstCompiler.compile(patex, dict)
     val maxFid = dict.maxFrequentFid(sigma)
@@ -81,7 +81,7 @@ object Drivers {
     val byPivot = new PivotPartitioner(sc.defaultParallelism)
 
     val perSeq = sequences.flatMap { t =>
-      Nfa.buildForSequence(t, bcFst.value, bcDict.value, maxFid, maxRuns,
+      Nfa.buildForSequence(t, bcFst.value, bcDict.value, maxFid, maxNodes,
                            minimize = minimizeNfas)
         .iterator.map { case (k, nfa) => ((k, NfaSerializer.serialize(nfa)), 1L) }
     }

@@ -1,9 +1,7 @@
 package repro.core
 
 import repro.dict.Dictionary
-import repro.fst.{Fst, FstSimulator}
-
-import scala.collection.mutable
+import repro.fst.{BlowUpException, Fst}
 
 /** NFA over output sets, used by D-CAND to represent `ρk(T)` — the candidate
   * subsequences of input sequence `T` with pivot item `k` — in compressed form
@@ -24,92 +22,17 @@ final class Nfa(
 
 object Nfa {
 
-  /** The tries of one input sequence, one per pivot, in one node store. Edge
-    * labels are ids of a [[LabelInterner]] shared by all of them. A node's
-    * children are keyed by `node << 32 | labelId` in a primitive map and kept
-    * in insertion order as a sibling list.
-    */
-  private[core] final class TrieForest(val labels: LabelInterner) {
-    private var n = 0
-    private var isFinal = new Array[Boolean](16)
-    private var firstChild = new Array[Int](16)
-    private var lastChild = new Array[Int](16)
-    private var nextSibling = new Array[Int](16)
-    private var inLabel = new Array[Int](16) // label id of the edge into the node
-    private val childOf = new LongIntMap
-
-    /** A fresh node without parent: the root of a new trie. */
-    def newRoot(): Int = newNode(-1)
-
-    /** The child of `node` along label `labelId`, created if absent. */
-    def child(node: Int, labelId: Int): Int = {
-      val c = childOf.getOrPut(node.toLong << 32 | labelId, n)
-      if (c == n) {
-        newNode(labelId)
-        if (firstChild(node) < 0) firstChild(node) = c else nextSibling(lastChild(node)) = c
-        lastChild(node) = c
-      }
-      c
-    }
-
-    def setFinal(node: Int): Unit = isFinal(node) = true
-
-    private def newNode(labelId: Int): Int = {
-      if (n == isFinal.length) {
-        isFinal = java.util.Arrays.copyOf(isFinal, 2 * n)
-        firstChild = java.util.Arrays.copyOf(firstChild, 2 * n)
-        lastChild = java.util.Arrays.copyOf(lastChild, 2 * n)
-        nextSibling = java.util.Arrays.copyOf(nextSibling, 2 * n)
-        inLabel = java.util.Arrays.copyOf(inLabel, 2 * n)
-      }
-      firstChild(n) = -1
-      nextSibling(n) = -1
-      inLabel(n) = labelId
-      n += 1
-      n - 1
-    }
-
-    /** Number the trie under `root` (root = 0, BFS order, children in
-      * insertion order) and freeze it into an [[Nfa]].
-      */
-    def toNfa(root: Int): Nfa = {
-      var order = new Array[Int](16) // BFS id -> node
-      order(0) = root
-      var size = 1
-      val edges = mutable.ArrayBuffer.empty[Array[(Array[Int], Int)]]
-      var i = 0
-      while (i < size) {
-        var degree = 0
-        var c = firstChild(order(i))
-        while (c >= 0) { degree += 1; c = nextSibling(c) }
-        val out = new Array[(Array[Int], Int)](degree)
-        if (size + degree > order.length) order = java.util.Arrays.copyOf(order, 2 * (size + degree))
-        c = firstChild(order(i))
-        var j = 0
-        while (c >= 0) {
-          out(j) = (labels(inLabel(c)), size)
-          order(size) = c
-          size += 1
-          j += 1
-          c = nextSibling(c)
-        }
-        edges += out
-        i += 1
-      }
-      new Nfa(Array.tabulate(size)(b => isFinal(order(b))), edges.toArray)
-    }
-  }
-
   /** Revuz-style minimization of an acyclic NFA (the trie): merge states with
     * identical (finality, outgoing transition set) bottom-up, children first,
     * so equivalent suffixes collapse. Linear in the trie size up to the sort
     * of each state's edges. The result accepts exactly the same language.
     *
     * A state's signature is its finality plus the sorted, distinct
-    * `labelId << 32 | canon(target)` of its edges. The canonical state of a
-    * class is its first state in post-order. Surviving states are renumbered
-    * root first, then ascending; each keeps its edge order, with repeats
-    * dropped.
+    * `labelId << 32 | canon(target)` of its edges, hash-consed in the same
+    * [[SignatureTable]] that [[buildForSequence]] fills while it builds. The
+    * canonical state of a class is its first state in post-order. Surviving
+    * states are renumbered root first, then ascending; each keeps its edge
+    * order, with repeats dropped.
     */
   def minimize(nfa: Nfa): Nfa = {
     val n = nfa.numStates
@@ -117,25 +40,28 @@ object Nfa {
     val labelIds = nfa.edges.map(_.map { case (l, _) => labels.intern(l, 0, l.length) })
     val canon = new Array[Int](n)
     val distinctEdges = new Array[Int](n)
-    val bySig = mutable.HashMap.empty[Signature, Int]
+    val table = new SignatureTable
+    val firstOfClass = new Array[Int](n)
+    val keys = new Array[Long](if (n == 0) 0 else nfa.edges.iterator.map(_.length).max)
     for (q <- postOrder(nfa)) {
       val es = nfa.edges(q)
-      val keys = new Array[Long](es.length)
       var j = 0
       while (j < es.length) {
         keys(j) = labelIds(q)(j).toLong << 32 | canon(es(j)._2)
         j += 1
       }
-      java.util.Arrays.sort(keys)
+      java.util.Arrays.sort(keys, 0, es.length)
       var d = 0
       j = 0
-      while (j < keys.length) {
+      while (j < es.length) {
         if (d == 0 || keys(j) != keys(d - 1)) { keys(d) = keys(j); d += 1 }
         j += 1
       }
       distinctEdges(q) = d
-      canon(q) = bySig.getOrElseUpdate(
-        new Signature(nfa.isFinal(q), if (d == keys.length) keys else java.util.Arrays.copyOf(keys, d)), q)
+      val size = table.size
+      val c = table.classOf(nfa.isFinal(q), keys, d)
+      if (c == size) firstOfClass(c) = q
+      canon(q) = firstOfClass(c)
     }
     // Renumber surviving states; root first.
     val newId = Array.fill(n)(-1)
@@ -165,15 +91,6 @@ object Nfa {
       edges(newId(q)) = out
     }
     new Nfa(isFinal, edges)
-  }
-
-  /** Finality and sorted distinct edge keys of a state, as a hash key. */
-  private final class Signature(val isFinal: Boolean, val edges: Array[Long]) {
-    override def equals(o: Any): Boolean = o match {
-      case s: Signature => isFinal == s.isFinal && java.util.Arrays.equals(edges, s.edges)
-      case _            => false
-    }
-    override val hashCode: Int = java.util.Arrays.hashCode(edges) * 2 + (if (isFinal) 1 else 0)
   }
 
   /** States in DFS post-order (children before parents, edges in order),
@@ -213,47 +130,300 @@ object Nfa {
     out
   }
 
-  /** Build the per-pivot NFAs for input sequence `t` (Sec. VI-A): simulate the
-    * FST, insert each accepting run into the tries of its pivots `K(r)` with
-    * items `> k` and infrequent items dropped, then minimize each trie.
+  /** Build the per-pivot NFAs for input sequence `t` (Sec. VI-A): for each
+    * pivot `k` of the grid ([[PivotSearch.grid]]), the trie of the restricted
+    * label strings of the accepting runs `r` with `k ∈ K(r)`, minimized.
     *
-    * The restricted label of an output set is a slice of the sorted set (ε
-    * and items above `min(k, maxFid)` cut off); it is interned once per
-    * sequence, so trie children and minimization work on int label ids.
+    * A run's label string is its non-ε output sets, each restricted to its
+    * items `<= k` (a slice of the sorted set, interned once per sequence).
+    * The trie is not built run by run: [[PivotTries]] walks it by one DFS
+    * over trie nodes, each the set of product states the runs spelling its
+    * label prefix can be in, and hash-conses every node's signature as the
+    * DFS returns from it (Revuz on the fly), so the minimized NFA comes out
+    * directly. With `minimize = false` every node is its own class, which
+    * gives the trie as built.
     *
-    * @return map pivot -> minimized NFA; empty if `t` has no accepting run.
+    * The NFAs, with their edge order, equal those of inserting the accepting
+    * runs one by one, in enumeration order, into the tries of their pivots
+    * and then applying [[minimize]]; their serialized bytes are the same.
+    *
+    * @param maxFid   largest frequent fid, `dict.maxFrequentFid(σ)`
+    * @param maxNodes cap on the trie nodes expanded for `t`, over all its
+    *                 pivots; one more throws [[BlowUpException]]
+    * @return map pivot -> NFA; empty if `t` has no accepting run.
     */
   def buildForSequence(
       t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int,
-      maxRuns: Int = 1 << 20, minimize: Boolean = true
+      maxNodes: Int = 1 << 20, minimize: Boolean = true
   ): Map[Int, Nfa] = {
-    val forest = new TrieForest(new LabelInterner)
-    val rootOf = new LongIntMap // pivot -> trie root
-    val pivots = new mutable.ArrayBuilder.ofInt
-    FstSimulator.foreachAcceptingRun(t, fst, dict, maxRuns) { run =>
-      for (k <- PivotSearch.pivotsOfRun(run, maxFid)) {
-        var node = rootOf.get(k)
-        if (node < 0) { node = rootOf.getOrPut(k, forest.newRoot()); pivots += k }
-        // Non-ε output sets restricted to frequent items <= k; no set can end
-        // up empty (k ∈ K(r) implies every set has a frequent item <= k).
-        val cap = math.min(k, maxFid)
-        var i = 0
-        while (i < run.length) {
-          val os = run(i)
-          if (!(os.length == 1 && os(0) == 0)) {
-            val from = if (os.nonEmpty && os(0) == 0) 1 else 0
-            var until = from
-            while (until < os.length && os(until) <= cap) until += 1
-            node = forest.child(node, forest.labels.intern(os, from, until))
+    val pivots = PivotSearch.grid(t, fst, dict, maxFid).pivots
+    if (pivots.isEmpty) return Map.empty
+    val tries = new PivotTries(t, fst, dict, maxNodes, minimize)
+    pivots.iterator.map { k =>
+      tries.pivot(k)
+      k -> tries.build()
+    }.toMap
+  }
+
+  /** The pivot tries of one sequence `t`, walked node by node.
+    *
+    * A product state `(i, q, seen)` is FST state `q` after consuming
+    * `t(0 until i)`, with `seen` telling whether the run so far has output
+    * the pivot `k`; it is packed into `(i * S + q) << 1 | seen`. For pivot
+    * `k`, a run `r` has `k ∈ K(r)` iff every output set's floor (its
+    * smallest item) is `<= k` and some set holds `k` (the closed form of
+    * `⊕`, see [[PivotSearch.pivotsOfRun]]; `k <= maxFid`). So a product
+    * state is live iff it has an accepting suffix with every floor `<= k`
+    * (`A`, that is [[repro.fst.FstSimulator.floors]] capped at `k` being
+    * finite) that, unless `seen`, also outputs `k` (`B`).
+    *
+    * A trie node is the list of live product states reached by the run
+    * prefixes that spell its label prefix and end in a labelled step, in
+    * first-seen order. Expanding it follows ε-only steps depth first, in
+    * transition order, from each of its states in turn, and collects every
+    * labelled step into a live state. Children are ordered by the first step
+    * with their label, which is the order in which run enumeration first
+    * inserts them; a node is final iff ε-only steps lead from one of its
+    * states to position `n`. The backward pass marks both facts per product
+    * state, so the walk enters only states that lead to a labelled step.
+    */
+  private final class PivotTries(t: Array[Int], fst: Fst, dict: Dictionary,
+                                 maxNodes: Int, minimize: Boolean) {
+    private val n = t.length
+    private val s = fst.numStates
+    private val rows = Array.tabulate(n)(i => fst.steps(t(i), dict))
+    private val rowOffset = rows.scanLeft(0)(_ + _.to.length) // first step index of position i
+    private val labels = new LabelInterner
+    private var nodes = 0 // expanded over all pivots, for the cap
+
+    private var k = 0
+    // Per cell, for the current pivot: bit `seen` is set iff the product
+    // state `(cell, seen)` is live; bit `2 + seen` iff ε-only steps through
+    // live states lead from it to a labelled step into a live state; bit 4
+    // iff they lead from `(cell, true)` to position `n`.
+    private val cells = new Array[Byte]((n + 1) * s)
+    private final val Labelled = 2
+    private final val End = 16
+    // Per labelled step index `g` (`rowOffset(i) + j`) whose set has a floor
+    // `<= k` and whose target is live: the end of the set's slice up to `k`
+    // (a set that is not ε-only holds no ε).
+    private val stepUntil = new Array[Int](rowOffset(n))
+    // Label ids of the slices `out(0 until u)` per step index `g` and slice
+    // end `u`, at `sliceOffset(g) + u`; -1 until interned.
+    private val sliceOffset = {
+      val a = new Array[Int](rowOffset(n) + 1)
+      for (i <- 0 until n; j <- rows(i).to.indices) {
+        val g = rowOffset(i) + j
+        a(g + 1) = a(g) + rows(i).out(j).length + 1
+      }
+      a
+    }
+    private val sliceLabel = Array.fill(sliceOffset(rowOffset(n)))(-1)
+
+    /** Switches to pivot `k`: fills `cells` by one backward pass. */
+    def pivot(pivot: Int): Unit = {
+      k = pivot
+      for (q <- 0 until s) cells(n * s + q) = (if (fst.isFinal(q)) 2 | End else 0).toByte
+      var i = n - 1
+      while (i >= 0) {
+        val row = rows(i)
+        val next = (i + 1) * s
+        var q = 0
+        while (q < s) {
+          var bits = 0
+          var j = row.start(q)
+          while (j < row.start(q + 1)) {
+            val o = row.out(j)
+            if (o(0) <= k) {
+              val b = cells(next + row.to(j))
+              if (row.epsOnly(j)) bits |= b // each bit implies its `seen`'s live bit
+              else if ((b & 2) != 0) { // a live target implies a live (target, true)
+                var until = 1
+                while (until < o.length && o(until) <= k) until += 1
+                stepUntil(rowOffset(i) + j) = until
+                val live = if (o(until - 1) == k) 3 else b & 3
+                bits |= live | live << Labelled
+              }
+            }
+            j += 1
           }
-          i += 1
+          cells(i * s + q) = bits.toByte
+          q += 1
         }
-        forest.setFinal(node)
+        i -= 1
       }
     }
-    pivots.result().iterator.map { k =>
-      val nfa = forest.toNfa(rootOf.get(k))
-      k -> (if (minimize) Nfa.minimize(nfa) else nfa)
-    }.toMap
+
+    private def isLive(p: Int): Boolean = (cells(p >>> 1) >> (p & 1) & 1) != 0
+    private def leadsToLabel(p: Int): Boolean = (cells(p >>> 1) >> (Labelled + (p & 1)) & 1) != 0
+    private def leadsToEnd(p: Int): Boolean = (p & 1) != 0 && (cells(p >>> 1) & End) != 0
+
+    /** `labelId << 1 | (label holds k)` of labelled step `j` at position
+      * `i`, whose set `o` has a floor `<= k` and whose target is live: the
+      * slice of `o` up to `k`.
+      */
+    private def label(i: Int, j: Int, o: Array[Int]): Int = {
+      val g = rowOffset(i) + j
+      val until = stepUntil(g)
+      val slot = sliceOffset(g) + until
+      if (sliceLabel(slot) < 0) sliceLabel(slot) = labels.intern(o, 0, until)
+      sliceLabel(slot) << 1 | (if (o(until - 1) == k) 1 else 0)
+    }
+
+    // Labelled steps into live states, in walk order, linked per child:
+    // `pairState(y)` is the step's target, `pairNext(y)` the child's next
+    // pair or -1. A node's state list is its list of pairs; a state may
+    // repeat in it, which changes nothing, as the walk enters a state once.
+    private var pairState = new Array[Int](16)
+    private var pairNext = new Array[Int](16)
+    private var pairs = 0
+    // Children of the nodes on the DFS path, contiguous per node: label,
+    // first and last pair, and class once visited.
+    private var childLabel = new Array[Int](16)
+    private var childHead = new Array[Int](16)
+    private var childTail = new Array[Int](16)
+    private var childClass = new Array[Int](16)
+    private var children = 0
+    // Per label id: the expansion that last met it, and its child there.
+    private var labelEpoch = new Array[Int](16)
+    private var labelChild = new Array[Int](16)
+    // Per product state: the expansion whose walk last entered it.
+    private val visited = new Array[Int]((n + 1) * s * 2)
+    private var epoch = 0
+
+    private val table = new SignatureTable
+    private var keys = new Array[Long](16)
+    // The NFA being emitted: one state per class.
+    private var classes = 0
+    private var isFinal = new Array[Boolean](16)
+    private var edges = new Array[Array[(Array[Int], Int)]](16)
+
+    /** The current pivot's NFA: state 0 is the root; any other class `c`,
+      * numbered in post-order, is state `c + 1` (the root's class is last).
+      */
+    def build(): Nfa = {
+      table.clear()
+      classes = 0
+      pairState(0) = fst.initial << 1
+      pairNext(0) = -1
+      pairs = 1
+      visit(0, isRoot = true)
+      new Nfa(java.util.Arrays.copyOf(isFinal, classes), java.util.Arrays.copyOf(edges, classes))
+    }
+
+    /** Expands the node whose state list starts at pair `head`, visits its
+      * children, and returns its class.
+      */
+    private def visit(head: Int, isRoot: Boolean): Int = {
+      nodes += 1
+      if (nodes > maxNodes) throw new BlowUpException(s"more than $maxNodes trie nodes in one sequence")
+      val pairsBefore = pairs
+      val first = children
+      epoch += 1
+      var nodeFinal = false
+      var y = head
+      while (y >= 0) {
+        val p = pairState(y)
+        if (leadsToEnd(p)) nodeFinal = true
+        if (leadsToLabel(p) && visited(p) != epoch) { visited(p) = epoch; walk(p) }
+        y = pairNext(y)
+      }
+      val end = children
+      var c = first
+      while (c < end) {
+        val cls = visit(childHead(c), isRoot = false) // may grow the child arrays
+        childClass(c) = cls
+        c += 1
+      }
+
+      // Revuz on the fly: the children's classes are final now.
+      val degree = end - first
+      if (degree > keys.length) keys = new Array[Long](2 * degree)
+      var x = 0
+      while (x < degree) {
+        keys(x) = childLabel(first + x).toLong << 32 | childClass(first + x)
+        x += 1
+      }
+      var cls = classes
+      if (minimize) {
+        java.util.Arrays.sort(keys, 0, degree)
+        cls = table.classOf(nodeFinal, keys, degree)
+      }
+      if (cls == classes) { // a new class: this node represents it
+        classes += 1
+        if (classes == isFinal.length) {
+          isFinal = java.util.Arrays.copyOf(isFinal, 2 * classes)
+          edges = java.util.Arrays.copyOf(edges, 2 * classes)
+        }
+        val out = new Array[(Array[Int], Int)](degree)
+        x = 0
+        while (x < degree) {
+          out(x) = (labels(childLabel(first + x)), childClass(first + x) + 1)
+          x += 1
+        }
+        val id = if (isRoot) 0 else cls + 1
+        isFinal(id) = nodeFinal
+        edges(id) = out
+      }
+      children = first
+      pairs = pairsBefore
+      cls
+    }
+
+    /** The ε-only walk from product state `p`, depth first in transition
+      * order, into states that lead to a labelled step; adds every labelled
+      * step into a live state to the child of its label.
+      */
+    private def walk(p: Int): Unit = {
+      val i = (p >>> 1) / s
+      val q = (p >>> 1) - i * s
+      val row = rows(i)
+      var j = row.start(q)
+      while (j < row.start(q + 1)) {
+        val o = row.out(j)
+        if (o(0) <= k) {
+          val target = ((i + 1) * s + row.to(j)) << 1
+          if (row.epsOnly(j)) {
+            val tp = target | p & 1
+            if (leadsToLabel(tp) && visited(tp) != epoch) { visited(tp) = epoch; walk(tp) }
+          } else if ((cells(target >>> 1) & 2) != 0) {
+            val l = label(i, j, o)
+            val tp = target | (p | l) & 1
+            if (isLive(tp)) addPair(l >>> 1, tp)
+          }
+        }
+        j += 1
+      }
+    }
+
+    private def addPair(labelId: Int, p: Int): Unit = {
+      labelEpoch = grown(labelEpoch, labelId)
+      labelChild = grown(labelChild, labelId)
+      pairState = grown(pairState, pairs)
+      pairNext = grown(pairNext, pairs)
+      pairState(pairs) = p
+      pairNext(pairs) = -1
+      if (labelEpoch(labelId) == epoch) {
+        val c = labelChild(labelId)
+        pairNext(childTail(c)) = pairs
+        childTail(c) = pairs
+      } else {
+        labelEpoch(labelId) = epoch
+        labelChild(labelId) = children
+        childLabel = grown(childLabel, children)
+        childHead = grown(childHead, children)
+        childTail = grown(childTail, children)
+        childClass = grown(childClass, children)
+        childLabel(children) = labelId
+        childHead(children) = pairs
+        childTail(children) = pairs
+        children += 1
+      }
+      pairs += 1
+    }
+
+    /** `a`, or a copy twice as long when `index` is past its end. */
+    private def grown(a: Array[Int], index: Int): Array[Int] =
+      if (index < a.length) a else java.util.Arrays.copyOf(a, 2 * index)
   }
 }

@@ -22,8 +22,8 @@ object PivotSearch {
     * `L` is the largest of the sets' smallest items (ε = 0 counts as an item
     * here). So `K(r)` is every frequent non-ε item `>= L` of the run; it is
     * empty if some set has no frequent item. Two passes, no allocation per
-    * step. Used directly by D-CAND; D-SEQ's [[grid]] applies the same rule
-    * to all runs at once.
+    * step. D-SEQ's [[grid]] and D-CAND's per-pivot tries apply the same rule
+    * to all runs at once; the run-by-run reference in the tests calls it.
     */
   def pivotsOfRun(run: FstSimulator.Run, maxFid: Int): Array[Int] = {
     val cap = if (maxFid < 0) Int.MaxValue else maxFid

@@ -1,9 +1,9 @@
 package repro.fst
 
-/** An enumeration cap was hit: one input sequence has too many accepting runs
-  * or candidate subsequences. This is the exponential blow-up under which the
-  * paper's NAIVE and D-CAND run out of memory; callers that report a capped
-  * input catch exactly this type.
+/** An enumeration cap was hit: one input sequence has too many accepting runs,
+  * candidate subsequences or D-CAND trie nodes. This is the exponential
+  * blow-up under which the paper's NAIVE and D-CAND run out of memory;
+  * callers that report a capped input catch exactly this type.
   */
 final class BlowUpException(message: String) extends RuntimeException(message)
 

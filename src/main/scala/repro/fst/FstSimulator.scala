@@ -53,8 +53,9 @@ object FstSimulator {
 
   /** Stream all accepting runs of `t` (as sequences of output sets) to `f`
     * without materializing them. Exponential in general — `maxRuns` guards
-    * against blow-up (the paper's naive/D-CAND OOM cases surface here as a
-    * [[BlowUpException]]).
+    * against blow-up with a [[BlowUpException]]. NAIVE and SEMI-NAIVE (via
+    * [[candidates]]), `BruteForce` and the tests enumerate runs here; D-CAND
+    * does not, its cap is on trie nodes.
     */
   def foreachAcceptingRun(t: Array[Int], fst: Fst, dict: Dictionary,
                           maxRuns: Int = 1 << 20)(f: Run => Unit): Unit = {

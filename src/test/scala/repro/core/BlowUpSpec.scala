@@ -15,7 +15,7 @@ class BlowUpSpec extends SparkSpec {
   private lazy val fst = FstCompiler.compile(piEx, dict)
 
   test("a D-CAND map over the run cap throws BlowUpException") {
-    intercept[BlowUpException](Nfa.buildForSequence(T1, fst, dict, dict.maxFrequentFid(1), maxRuns = 1))
+    intercept[BlowUpException](Nfa.buildForSequence(T1, fst, dict, dict.maxFrequentFid(1), maxNodes = 1))
   }
 
   test("D-CAND on Spark over the run cap fails with a BlowUpException cause") {
@@ -25,7 +25,7 @@ class BlowUpSpec extends SparkSpec {
     loggers.foreach(Configurator.setLevel(_, Level.OFF))
     val e =
       try intercept[SparkException] {
-        Drivers.dCand(sc, sc.parallelize(db, 2), dict, piEx, 1, maxRuns = 1).collect()
+        Drivers.dCand(sc, sc.parallelize(db, 2), dict, piEx, 1, maxNodes = 1).collect()
       }
       finally loggers.zip(levels).foreach { case (l, level) => Configurator.setLevel(l, level) }
     assert(BlowUpException.inCauseChain(e), e.toString)

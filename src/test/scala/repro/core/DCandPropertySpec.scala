@@ -2,17 +2,19 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGen
-import repro.fst.{FstCompiler, FstSimulator}
+import repro.{SparkSpec, TestGen}
+import repro.data.SeqData
+import repro.dict.Dictionary
+import repro.eval.Constraints
+import repro.fst.{Fst, FstCompiler, FstSimulator}
 
 import scala.collection.mutable
 
 /** Property tests (ScalaCheck) for the pivot search and D-CAND's packed-key
-  * layers against their definitions: the `⊕` fold, the trie language, and
-  * brute-force counting.
+  * layers against their definitions: the `⊕` fold, the run-by-run trie, the
+  * trie language, and brute-force counting.
   */
-class DCandPropertySpec extends AnyFunSuite {
+class DCandPropertySpec extends SparkSpec {
 
   private def check(p: Prop, tests: Int = 300): Unit = {
     val params = Test.Parameters.default.withMinSuccessfulTests(tests).withInitialSeed(Seed(20190408L))
@@ -38,6 +40,31 @@ class DCandPropertySpec extends AnyFunSuite {
         PivotSearch.grid(t, fst, dict, maxFid).pivots.toSeq == want.toSeq
       }
     }, tests = 200)
+  }
+
+  test("buildForSequence serializes like the run-by-run trie, minimized and raw") {
+    def bytesOf(nfas: Map[Int, Nfa]): Map[Int, Seq[Byte]] =
+      nfas.map { case (k, nfa) => k -> NfaSerializer.serialize(nfa).bytes.toSeq }
+    def same(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Boolean =
+      Seq(true, false).forall { minimize =>
+        bytesOf(Nfa.buildForSequence(t, fst, dict, maxFid, minimize = minimize)) ==
+          bytesOf(NfaReference.buildForSequence(t, fst, dict, maxFid, minimize))
+      }
+    for ((name, patex) <- TestGen.patterns) withClue(name) {
+      check(Prop.forAllNoShrink(Gen.choose(0L, 1L << 20), Gen.oneOf(1L, 3L)) { (seed, sigma) =>
+        val (dict, db) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 8, maxLen = 8), TestGen.toyParents)
+        val fst = FstCompiler.compile(patex, dict)
+        db.forall(same(_, fst, dict, dict.maxFrequentFid(sigma)))
+      }, tests = 25)
+    }
+    // A real hierarchy: 400 nytLite sentences.
+    val nyt = SeqData.encode(SeqData.nytLite(spark, sf = 0.01, seed = 5))
+    val sentences = nyt.sequences.collect()
+    for (c <- Seq(Constraints.t3(5, 1, 5), Constraints.n5(5))) {
+      val fst = FstCompiler.compile(c.patex, nyt.dict)
+      val maxFid = nyt.dict.maxFrequentFid(c.sigma)
+      assert(sentences.forall(same(_, fst, nyt.dict, maxFid)), c.name)
+    }
   }
 
   test("minimize preserves the trie's language and is idempotent in state count") {

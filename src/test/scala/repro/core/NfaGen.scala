@@ -24,10 +24,10 @@ object NfaGen {
   }
 
   /** The trie of `runs` (sequences of output sets), built like
-    * [[Nfa.buildForSequence]] builds one pivot's trie.
+    * [[NfaReference.buildForSequence]] builds one pivot's trie.
     */
   def trieOf(runs: Seq[Seq[Array[Int]]]): Nfa = {
-    val forest = new Nfa.TrieForest(new LabelInterner)
+    val forest = new TrieForest(new LabelInterner)
     val root = forest.newRoot()
     for (run <- runs) {
       var node = root

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Ex, TestGen}
 import repro.Ex._
-import repro.fst.{FstCompiler, FstSimulator}
+import repro.fst.{BlowUpException, FstCompiler, FstSimulator}
 
 import java.util.Random
 
@@ -47,6 +47,14 @@ class NfaSpec extends AnyFunSuite {
 
   test("T4 with σ=2 builds no NFAs (all candidates contain infrequent a2)") {
     assert(Nfa.buildForSequence(T4, fst, dict, dict.maxFrequentFid(2)).isEmpty)
+  }
+
+  test("node cap: a cap equal to the sequence's trie node count passes, one fewer throws") {
+    val maxFid = dict.maxFrequentFid(1)
+    val nodes = Nfa.buildForSequence(T1, fst, dict, maxFid, minimize = false).values.map(_.numStates).sum
+    assert(nodes > 1)
+    assert(Nfa.buildForSequence(T1, fst, dict, maxFid, maxNodes = nodes).nonEmpty)
+    intercept[BlowUpException](Nfa.buildForSequence(T1, fst, dict, maxFid, maxNodes = nodes - 1))
   }
 
   test("minimization preserves the language (running example, all sequences)") {
