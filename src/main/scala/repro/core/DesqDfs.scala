@@ -1,7 +1,8 @@
 package repro.core
 
 import repro.dict.Dictionary
-import repro.fst.Fst
+import repro.fst.{Fst, FstSimulator}
+import repro.fst.FstSimulator.{End, LeadsToLabel, Live}
 
 import scala.collection.mutable
 
@@ -12,14 +13,21 @@ import scala.collection.mutable
   * projected database of `(T, pos, state)` snapshots — FST simulations of `T`
   * that have produced exactly the node's prefix and stand at `pos`/`state`.
   * A prefix is a complete candidate for `T` if some snapshot can consume the
-  * rest of `T` producing only ε ([[cells]] precomputes this per `(pos, state)`).
+  * rest of `T` producing only ε.
+  *
+  * Snapshots are the product states of [[FstSimulator.pivotCells]], one pass
+  * per sequence with `k` the item cap, a snapshot being `seen` unless pivot
+  * pruning is on for its node. The search keeps only live snapshots, follows
+  * an ε-step only into a state that leads to a labelled step, and counts a
+  * snapshot's sequence as support at an `End` cell. A snapshot that is not
+  * live can never complete a prefix, so this changes no support.
   *
   * With `pivot = Some(k)` the miner runs D-SEQ's restricted local mining:
   * prefixes use only items `<= k` and only sequences containing `k` are
   * emitted. Pivot pruning keeps, while the prefix lacks `k`, only snapshots
-  * from which some accepting run can still output `k`; such a run is the
-  * only way a snapshot can add to a pivot-`k` pattern, so the pruning is
-  * exact.
+  * from which some accepting run can still output `k` (the live unseen
+  * ones); such a run is the only way a snapshot can add to a pivot-`k`
+  * pattern, so the pruning is exact.
   *
   * The unrestricted variant (`pivot = None`) is the sequential DESQ-DFS
   * baseline of Tab. V.
@@ -58,8 +66,8 @@ object DesqDfs {
     new Search(db, fst, dict, sigma, itemCap, pivot.getOrElse(0), pivot.isDefined && earlyStop, maxLen).run()
   }
 
-  /** One mining run: the per-sequence [[cells]] tables and the scratch state
-    * of the depth-first search.
+  /** One mining run: the per-sequence [[FstSimulator.pivotCells]] tables and
+    * the scratch state of the depth-first search.
     *
     * @param k     the pivot, or 0 (ε, never an output item) when unrestricted
     * @param prune pivot pruning on
@@ -71,7 +79,7 @@ object DesqDfs {
     private val s = fst.numStates
     private val seqs = db.map(_._1).toArray
     private val weights = db.map(_._2).toArray
-    private val seqCells = seqs.map(cells(_, fst, dict, k, itemCap, prune))
+    private val seqCells = seqs.map(FstSimulator.pivotCells(_, fst, dict, itemCap))
 
     private val results = mutable.HashMap.empty[Pattern, Long]
     private val prefix = mutable.ArrayBuffer.empty[Int]
@@ -83,7 +91,7 @@ object DesqDfs {
 
     // Scratch state of the node being expanded and of its current sequence.
     private var children: mutable.LongMap[mutable.ArrayBuilder.ofLong] = _
-    private var pruning = false
+    private var seen = 1 // the snapshots' seen bit: 0 while pivot pruning is on
     private var tid = 0
     private var seq: Array[Int] = _
     private var seqCell: Array[Byte] = _
@@ -95,7 +103,8 @@ object DesqDfs {
 
     def run(): Map[Pattern, Long] = {
       val root = new mutable.ArrayBuilder.ofLong
-      for (t <- seqs.indices if !prune || (seqCells(t)(fst.initial) & OutputsK) != 0)
+      val rootLive = Live << (if (prune) 0 else 1)
+      for (t <- seqs.indices if (seqCells(t)(fst.initial) & rootLive) != 0)
         root += enc(t, 0, fst.initial)
       expand(root.result(), hasPivot = false)
       results.toMap
@@ -105,7 +114,7 @@ object DesqDfs {
     private def expand(entries: Array[Long], hasPivot: Boolean): Unit = {
       val kids = mutable.LongMap.empty[mutable.ArrayBuilder.ofLong]
       children = kids
-      pruning = prune && !hasPivot
+      seen = if (prune && !hasPivot) 0 else 1
       var ei = 0
       while (ei < entries.length) {
         val e = entries(ei)
@@ -134,7 +143,7 @@ object DesqDfs {
           val e = buf(bi)
           val t = decTid(e)
           if (t != lastTid) { bound += weights(t); lastTid = t; counted = false }
-          if (!counted && (seqCells(t)(decPos(e) * s + decQ(e)) & EpsAccept) != 0) {
+          if (!counted && (seqCells(t)(decPos(e) * s + decQ(e)) & End) != 0) {
             support += weights(t); counted = true
           }
           bi += 1
@@ -150,8 +159,10 @@ object DesqDfs {
       }
     }
 
-    /** Follow ε-moves from snapshot `(i, q)` of the current sequence and add
-      * every item step to the child of that item.
+    /** Follow ε-moves from snapshot `(i, q)` of the current sequence into
+      * states that lead to a labelled step, and add every item step into a
+      * live snapshot (while pruning, an unseen one unless the item is `k`)
+      * to the child of that item.
       */
     private def dfs(i: Int, q: Int): Unit = {
       val key = i * s + q
@@ -164,14 +175,14 @@ object DesqDfs {
       while (j < row.start(q + 1)) {
         val to = row.to(j)
         val c = seqCell(next + to)
-        if ((c & Reach) != 0) {
-          val keep = !pruning || (c & OutputsK) != 0
+        if (row.epsOnly(j)) { if ((c & LeadsToLabel << seen) != 0) dfs(i + 1, to) }
+        else if ((c & Live << 1) != 0) {
+          val keep = (c & Live << seen) != 0
           val outs = row.out(j)
           var oi = 0
           while (oi < outs.length && outs(oi) <= itemCap) {
             val w = outs(oi)
-            if (w == 0) { if (keep) dfs(i + 1, to) }
-            else if (keep || w == k) {
+            if (keep || w == k) {
               var b = children.getOrNull(w)
               if (b == null) { b = new mutable.ArrayBuilder.ofLong; children.update(w, b) }
               b += enc(tid, i + 1, to)
@@ -194,56 +205,5 @@ object DesqDfs {
       i += 1
     }
     if (n == a.length) a else java.util.Arrays.copyOf(a, n)
-  }
-
-  /** Bits of a [[cells]] entry for `(i, q)`, set iff some accepting run from
-    * `(i, q)` exists ([[Reach]]), outputs only ε ([[EpsAccept]]), or outputs
-    * pivot `k` ([[OutputsK]]) with every step up to that one able to output
-    * ε or an item `<= cap`, as the search only takes such steps.
-    */
-  private[core] final val Reach = 1
-  private[core] final val EpsAccept = 2
-  private[core] final val OutputsK = 4
-
-  /** The per-sequence DP of DESQ-DFS: one backward pass over `t` filling
-    * `cells(i * S + q)` with the [[Reach]], [[EpsAccept]] and, if `pivot`,
-    * [[OutputsK]] bits. Index `i` ranges 0..n.
-    */
-  private[core] def cells(
-      t: Array[Int], fst: Fst, dict: Dictionary, k: Int, cap: Int, pivot: Boolean
-  ): Array[Byte] = {
-    val n = t.length
-    val s = fst.numStates
-    val all = if (pivot) Reach | EpsAccept | OutputsK else Reach | EpsAccept
-    val c = new Array[Byte]((n + 1) * s)
-    for (q <- 0 until s if fst.isFinal(q)) c(n * s + q) = (Reach | EpsAccept).toByte
-    var i = n - 1
-    while (i >= 0) {
-      val row = fst.steps(t(i), dict)
-      val next = (i + 1) * s
-      var q = 0
-      while (q < s) {
-        var bits = 0
-        var j = row.start(q)
-        val end = row.start(q + 1)
-        while (j < end && bits != all) {
-          val b = c(next + row.to(j))
-          if ((b & Reach) != 0) {
-            bits |= Reach
-            if (row.epsOnly(j)) bits |= b & EpsAccept
-            if (pivot && (bits & OutputsK) == 0) {
-              val o = row.out(j)
-              if (o.length > 0 && o(0) <= cap &&
-                  ((b & OutputsK) != 0 || java.util.Arrays.binarySearch(o, k) >= 0)) bits |= OutputsK
-            }
-          }
-          j += 1
-        }
-        c(i * s + q) = bits.toByte
-        q += 1
-      }
-      i -= 1
-    }
-    c
   }
 }

@@ -1,7 +1,8 @@
 package repro.core
 
 import repro.dict.Dictionary
-import repro.fst.{BlowUpException, Fst}
+import repro.fst.{BlowUpException, Fst, FstSimulator}
+import repro.fst.FstSimulator.{End, LeadsToLabel, Live}
 
 /** NFA over output sets, used by D-CAND to represent `ρk(T)` — the candidate
   * subsequences of input sequence `T` with pivot item `k` — in compressed form
@@ -167,15 +168,10 @@ object Nfa {
 
   /** The pivot tries of one sequence `t`, walked node by node.
     *
-    * A product state `(i, q, seen)` is FST state `q` after consuming
-    * `t(0 until i)`, with `seen` telling whether the run so far has output
-    * the pivot `k`; it is packed into `(i * S + q) << 1 | seen`. For pivot
-    * `k`, a run `r` has `k ∈ K(r)` iff every output set's floor (its
-    * smallest item) is `<= k` and some set holds `k` (the closed form of
-    * `⊕`, see [[PivotSearch.pivotsOfRun]]; `k <= maxFid`). So a product
-    * state is live iff it has an accepting suffix with every floor `<= k`
-    * (`A`, that is [[repro.fst.FstSimulator.floors]] capped at `k` being
-    * finite) that, unless `seen`, also outputs `k` (`B`).
+    * A product state `(i, q, seen)` of [[FstSimulator.pivotCells]] is packed
+    * into `(i * S + q) << 1 | seen`. It is live for pivot `k` iff one of its
+    * accepting suffixes completes a run `r` with `k ∈ K(r)`, given a prefix
+    * with every set floor `<= k` that has output `k` iff `seen`.
     *
     * A trie node is the list of live product states reached by the run
     * prefixes that spell its label prefix and end in a labelled step, in
@@ -184,8 +180,9 @@ object Nfa {
     * labelled step into a live state. Children are ordered by the first step
     * with their label, which is the order in which run enumeration first
     * inserts them; a node is final iff ε-only steps lead from one of its
-    * states to position `n`. The backward pass marks both facts per product
-    * state, so the walk enters only states that lead to a labelled step.
+    * seen states to position `n`. The pivot's cells mark both facts per
+    * product state, so the walk enters only states that lead to a labelled
+    * step.
     */
   private final class PivotTries(t: Array[Int], fst: Fst, dict: Dictionary,
                                  maxNodes: Int, minimize: Boolean) {
@@ -197,17 +194,7 @@ object Nfa {
     private var nodes = 0 // expanded over all pivots, for the cap
 
     private var k = 0
-    // Per cell, for the current pivot: bit `seen` is set iff the product
-    // state `(cell, seen)` is live; bit `2 + seen` iff ε-only steps through
-    // live states lead from it to a labelled step into a live state; bit 4
-    // iff they lead from `(cell, true)` to position `n`.
-    private val cells = new Array[Byte]((n + 1) * s)
-    private final val Labelled = 2
-    private final val End = 16
-    // Per labelled step index `g` (`rowOffset(i) + j`) whose set has a floor
-    // `<= k` and whose target is live: the end of the set's slice up to `k`
-    // (a set that is not ε-only holds no ε).
-    private val stepUntil = new Array[Int](rowOffset(n))
+    private var cells: Array[Byte] = _ // the current pivot's
     // Label ids of the slices `out(0 until u)` per step index `g` and slice
     // end `u`, at `sliceOffset(g) + u`; -1 until interned.
     private val sliceOffset = {
@@ -220,42 +207,14 @@ object Nfa {
     }
     private val sliceLabel = Array.fill(sliceOffset(rowOffset(n)))(-1)
 
-    /** Switches to pivot `k`: fills `cells` by one backward pass. */
+    /** Switches to pivot `k`. */
     def pivot(pivot: Int): Unit = {
       k = pivot
-      for (q <- 0 until s) cells(n * s + q) = (if (fst.isFinal(q)) 2 | End else 0).toByte
-      var i = n - 1
-      while (i >= 0) {
-        val row = rows(i)
-        val next = (i + 1) * s
-        var q = 0
-        while (q < s) {
-          var bits = 0
-          var j = row.start(q)
-          while (j < row.start(q + 1)) {
-            val o = row.out(j)
-            if (o(0) <= k) {
-              val b = cells(next + row.to(j))
-              if (row.epsOnly(j)) bits |= b // each bit implies its `seen`'s live bit
-              else if ((b & 2) != 0) { // a live target implies a live (target, true)
-                var until = 1
-                while (until < o.length && o(until) <= k) until += 1
-                stepUntil(rowOffset(i) + j) = until
-                val live = if (o(until - 1) == k) 3 else b & 3
-                bits |= live | live << Labelled
-              }
-            }
-            j += 1
-          }
-          cells(i * s + q) = bits.toByte
-          q += 1
-        }
-        i -= 1
-      }
+      cells = FstSimulator.pivotCells(t, fst, dict, k)
     }
 
-    private def isLive(p: Int): Boolean = (cells(p >>> 1) >> (p & 1) & 1) != 0
-    private def leadsToLabel(p: Int): Boolean = (cells(p >>> 1) >> (Labelled + (p & 1)) & 1) != 0
+    private def isLive(p: Int): Boolean = (cells(p >>> 1) & Live << (p & 1)) != 0
+    private def leadsToLabel(p: Int): Boolean = (cells(p >>> 1) & LeadsToLabel << (p & 1)) != 0
     private def leadsToEnd(p: Int): Boolean = (p & 1) != 0 && (cells(p >>> 1) & End) != 0
 
     /** `labelId << 1 | (label holds k)` of labelled step `j` at position
@@ -263,9 +222,9 @@ object Nfa {
       * slice of `o` up to `k`.
       */
     private def label(i: Int, j: Int, o: Array[Int]): Int = {
-      val g = rowOffset(i) + j
-      val until = stepUntil(g)
-      val slot = sliceOffset(g) + until
+      var until = 1
+      while (until < o.length && o(until) <= k) until += 1
+      val slot = sliceOffset(rowOffset(i) + j) + until
       if (sliceLabel(slot) < 0) sliceLabel(slot) = labels.intern(o, 0, until)
       sliceLabel(slot) << 1 | (if (o(until - 1) == k) 1 else 0)
     }
@@ -386,7 +345,7 @@ object Nfa {
           if (row.epsOnly(j)) {
             val tp = target | p & 1
             if (leadsToLabel(tp) && visited(tp) != epoch) { visited(tp) = epoch; walk(tp) }
-          } else if ((cells(target >>> 1) & 2) != 0) {
+          } else if ((cells(target >>> 1) & Live << 1) != 0) {
             val l = label(i, j, o)
             val tp = target | (p | l) & 1
             if (isLive(tp)) addPair(l >>> 1, tp)

@@ -17,40 +17,6 @@ import scala.collection.mutable
   */
 object PivotSearch {
 
-  /** Pivot items of a single run (Th. 1), in closed form. Folding `⊕` over
-    * the run's σ-filtered output sets keeps exactly the items `>= L`, where
-    * `L` is the largest of the sets' smallest items (ε = 0 counts as an item
-    * here). So `K(r)` is every frequent non-ε item `>= L` of the run; it is
-    * empty if some set has no frequent item. Two passes, no allocation per
-    * step. D-SEQ's [[grid]] and D-CAND's per-pivot tries apply the same rule
-    * to all runs at once; the run-by-run reference in the tests calls it.
-    */
-  def pivotsOfRun(run: FstSimulator.Run, maxFid: Int): Array[Int] = {
-    val cap = if (maxFid < 0) Int.MaxValue else maxFid
-    var lo = 0 // L
-    var i = 0
-    while (i < run.length) {
-      val os = run(i)
-      if (os.isEmpty || os(0) > cap) return Array.emptyIntArray
-      if (os(0) > lo) lo = os(0)
-      i += 1
-    }
-    val out = new mutable.ArrayBuilder.ofInt
-    i = 0
-    while (i < run.length) {
-      val os = run(i)
-      var j = 0
-      while (j < os.length && os(j) <= cap) {
-        if (os(j) >= lo && os(j) != 0) out += os(j)
-        j += 1
-      }
-      i += 1
-    }
-    val ks = out.result()
-    java.util.Arrays.sort(ks)
-    distinctSorted(ks)
-  }
-
   /** Drops repeats from a sorted array, in place when there are any. */
   private def distinctSorted(a: Array[Int]): Array[Int] = {
     if (a.length < 2) return a
@@ -92,8 +58,10 @@ object PivotSearch {
   }
 
   /** The position–state grid (Fig. 5b) for sequence `t` in closed form.
-    * By [[pivotsOfRun]], a run's pivots are its frequent non-ε items `>= L`,
-    * `L` the largest of its sets' floors (smallest items `<= maxFid`). So an
+    * Folding Th. 1's `⊕` over a run's σ-filtered output sets keeps exactly
+    * its frequent non-ε items `>= L`, `L` the largest of its sets' floors
+    * (smallest items `<= maxFid`, ε = 0 counting as an item); the tests'
+    * `PivotFold` holds both the fold and this closed form. So an
     * edge `e` from `(i, q)` to `(i + 1, q')` with output set `O` gives `K(T)`
     * the frequent non-ε items of `O` that are `>= max(F(i, q), floor(O),
     * B(i + 1, q'))`: the least `L` over the runs through `e`, with `F` the

@@ -4,11 +4,14 @@ import repro.dict.Dictionary
 
 import scala.collection.mutable
 
-/** FST simulation: the backward floor DP, accepting-run enumeration and
-  * candidate generation `Gπ(T)` (Sec. IV of the paper).
+/** FST simulation: the two per-sequence backward DPs, accepting-run
+  * enumeration and candidate generation `Gπ(T)` (Sec. IV of the paper).
   *
-  * All methods work on fid-encoded sequences. Output sets are sorted
-  * `Array[Int]` with fid 0 = ε.
+  * [[floors]] serves every pivot at once (the grid's pivot search);
+  * [[pivotCells]] serves one pivot `k` (D-SEQ's restricted DESQ-DFS and
+  * D-CAND's pivot tries). All methods work on fid-encoded sequences. Output
+  * sets are sorted `Array[Int]` with fid 0 = ε; a set that is not ε-only
+  * holds no ε.
   */
 object FstSimulator {
 
@@ -49,6 +52,68 @@ object FstSimulator {
       i -= 1
     }
     floor
+  }
+
+  /** Bits of a [[pivotCells]] entry: `Live << seen`, `LeadsToLabel << seen`
+    * and `End`.
+    */
+  final val Live = 1
+  final val LeadsToLabel = 4
+  final val End = 16
+
+  /** The pivot-`k` backward pass over `t`, one byte per cell `i * S + q`
+    * (`S = fst.numStates`, `i` in 0..n).
+    *
+    * A product state `(i, q, seen)` is state `q` after consuming
+    * `t(0 until i)`, `seen` telling whether the run so far has output `k`.
+    * A run counts for pivot `k` iff every output set's floor (smallest item,
+    * ε = 0) is `<= k` and some set holds `k`: the closed form of Th. 1's
+    * `⊕` for `k <= maxFid`. So `(i, q, seen)` is live iff it has an
+    * accepting suffix with every set floor `<= k` that, unless `seen`,
+    * outputs `k`; a live `(i, q, false)` implies a live `(i, q, true)`. Per
+    * cell, bit:
+    *  - `Live << seen`: `(i, q, seen)` is live.
+    *  - `LeadsToLabel << seen`: ε-only steps through live states lead from
+    *    it to a labelled step (a set that is not ε-only, floor `<= k`) into
+    *    a live state, which is seen if `seen` or the set holds `k`.
+    *  - `End`: ε-only steps lead from `(i, q)` to a final state at `n`.
+    *
+    * O(|T|·|Δ|).
+    */
+  def pivotCells(t: Array[Int], fst: Fst, dict: Dictionary, k: Int): Array[Byte] = {
+    val n = t.length
+    val s = fst.numStates
+    val cells = new Array[Byte]((n + 1) * s)
+    for (q <- 0 until s if fst.isFinal(q)) cells(n * s + q) = (Live << 1 | End).toByte
+    var i = n - 1
+    while (i >= 0) {
+      val row = fst.steps(t(i), dict)
+      val next = (i + 1) * s
+      var q = 0
+      while (q < s) {
+        var bits = 0
+        var j = row.start(q)
+        while (j < row.start(q + 1)) {
+          val o = row.out(j)
+          if (o(0) <= k) {
+            val b = cells(next + row.to(j))
+            if (row.epsOnly(j)) bits |= b // each bit implies its `seen`'s live bit
+            else if ((b & Live << 1) != 0) {
+              var m = 0
+              while (m < o.length && o(m) < k) m += 1
+              val both = Live | Live << 1
+              val live = if (m < o.length && o(m) == k) both else b & both
+              bits |= live | live << 2 // the step leads each state it makes live to a label
+            }
+          }
+          j += 1
+        }
+        cells(i * s + q) = bits.toByte
+        q += 1
+      }
+      i -= 1
+    }
+    cells
   }
 
   /** Stream all accepting runs of `t` (as sequences of output sets) to `f`

@@ -24,7 +24,7 @@ class DCandPropertySpec extends SparkSpec {
 
   test("pivotsOfRun equals the ⊕ fold over the σ-filtered output sets") {
     check(Prop.forAllNoShrink(NfaGen.run, Gen.choose(-1, 13)) { (run, maxFid) =>
-      PivotSearch.pivotsOfRun(run, maxFid).toSeq == PivotFold.fold(run, maxFid).toSeq
+      PivotFold.pivotsOfRun(run, maxFid).toSeq == PivotFold.fold(run, maxFid).toSeq
     }, tests = 2000)
   }
 

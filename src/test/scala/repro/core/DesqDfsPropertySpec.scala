@@ -59,46 +59,55 @@ class DesqDfsPropertySpec extends AnyFunSuite {
     assert(nonEmptyPartitions > 150, "too few pivot partitions with patterns to be a test")
   }
 
-  test("DESQ-DFS's one backward pass == its three definitions over the accepting runs") {
+  test("the pivot-k backward pass == its bits' definitions over the runs") {
+    import FstSimulator.{End, LeadsToLabel, Live}
     var epsCells = 0
     var kCells = 0
+    var seenOnlyCells = 0
     var cappedCells = 0
     val input = Gen.zip(Gen.oneOf(TestGen.patterns.map(_._2)), hierarchy, weightedDb, Gen.oneOf(1L, 2L, 4L))
     check(Prop.forAllNoShrink(input) { case (patex, parents, wdb, sigma) =>
       val (dict, db) = TestGen.encodeLocal(wdb.map(_._1), parents)
       val fst = FstCompiler.compile(patex, dict)
       val maxFid = dict.maxFrequentFid(sigma)
+      def isEps(o: Array[Int]) = o.sameElements(Array(0))
       db.forall { t =>
         val runs = runsFrom(t, fst, dict)
         val fromStart = mutable.ArrayBuffer.empty[FstSimulator.Run]
         FstSimulator.foreachAcceptingRun(t, fst, dict)(fromStart += _)
         val floors = FstSimulator.floors(t, fst, dict, Int.MaxValue)
         val capped = FstSimulator.floors(t, fst, dict, maxFid)
-        val cells = DesqDfs.cells(t, fst, dict, 0, maxFid, pivot = false)
         fromStart.map(_.toList.map(_.toSeq)) == runs(fst.initial).map(_.map(_.toSeq)) &&
-          cells.indices.forall { c =>
-            val eps = runs(c).exists(_.forall(_.sameElements(Array(0))))
-            if (eps) epsCells += 1
+          runs.indices.forall { c =>
+            if (runs(c).exists(_.forall(isEps))) epsCells += 1
             if (capped(c) != floors(c)) cappedCells += 1
             floors(c) == leastFloor(runs(c), Int.MaxValue) && (floors(c) < Int.MaxValue) == runs(c).nonEmpty &&
-              capped(c) == leastFloor(runs(c), maxFid) &&
-              (cells(c) & DesqDfs.Reach) != 0 == runs(c).nonEmpty &&
-              (cells(c) & DesqDfs.EpsAccept) != 0 == eps && (cells(c) & DesqDfs.OutputsK) == 0
+              capped(c) == leastFloor(runs(c), maxFid)
           } &&
           (1 to maxFid).forall { k =>
-            // Pivot mode caps items at k: every set up to the one with k has an item <= k.
-            def outputsK(run: List[Array[Int]]) = run.indices.exists(j =>
-              run(j).contains(k) && run.take(j + 1).forall(_.exists(_ <= k)))
-            val withK = DesqDfs.cells(t, fst, dict, k, k, pivot = true)
-            withK.indices.forall { c =>
-              val want = runs(c).exists(outputsK)
-              if (want) kCells += 1
-              (withK(c) & ~DesqDfs.OutputsK) == cells(c) && (withK(c) & DesqDfs.OutputsK) != 0 == want
+            // The runs that count for k: every set's floor is <= k. Live
+            // unseen also needs k in a set; leading to a labelled step needs
+            // a set that is not ε-only; a run of ε-only sets ends the prefix.
+            val cells = FstSimulator.pivotCells(t, fst, dict, k)
+            cells.indices.forall { c =>
+              val counted = runs(c).filter(_.forall(_(0) <= k))
+              def holdsK(r: List[Array[Int]]) = r.exists(_.contains(k))
+              def labelled(r: List[Array[Int]]) = r.exists(!isEps(_))
+              val want =
+                (if (counted.exists(holdsK)) Live else 0) |
+                  (if (counted.nonEmpty) Live << 1 else 0) |
+                  (if (counted.exists(r => labelled(r) && holdsK(r))) LeadsToLabel else 0) |
+                  (if (counted.exists(labelled)) LeadsToLabel << 1 else 0) |
+                  (if (runs(c).exists(_.forall(isEps))) End else 0)
+              if ((want & Live) != 0) kCells += 1
+              else if ((want & LeadsToLabel << 1) != 0) seenOnlyCells += 1
+              cells(c) == want
             }
           }
       }
     }, tests = 150)
-    assert(epsCells > 100 && kCells > 1000, s"too few positive cells: ε $epsCells, k $kCells")
+    assert(epsCells > 100 && kCells > 1000 && seenOnlyCells > 1000,
+      s"too few positive cells: ε $epsCells, k $kCells, seen only $seenOnlyCells")
     assert(cappedCells > 100, s"too few cells where σ changes the floor: $cappedCells")
   }
 

@@ -23,7 +23,7 @@ object NfaReference {
     val rootOf = new LongIntMap // pivot -> trie root
     val pivots = new mutable.ArrayBuilder.ofInt
     FstSimulator.foreachAcceptingRun(t, fst, dict) { run =>
-      for (k <- PivotSearch.pivotsOfRun(run, maxFid)) {
+      for (k <- PivotFold.pivotsOfRun(run, maxFid)) {
         var node = rootOf.get(k)
         if (node < 0) { node = rootOf.getOrPut(k, forest.newRoot()); pivots += k }
         // Non-ε output sets restricted to frequent items <= k; no set can end

@@ -1,8 +1,8 @@
 package repro.core
 
-/** Th. 1's pivot-merge `⊕` and its fold over a run, written as defined: the
-  * reference that [[PivotSearch.pivotsOfRun]] and [[PivotSearch.grid]]
-  * compute in closed form.
+/** Th. 1's pivot-merge `⊕` and its fold over a run, written as defined, and
+  * its closed form for one run ([[pivotsOfRun]]), which [[PivotSearch.grid]]
+  * and `FstSimulator.pivotCells` apply to all runs at once.
   */
 object PivotFold {
 
@@ -24,5 +24,18 @@ object PivotFold {
       acc = oplus(acc, o)
     }
     acc.filter(_ != 0)
+  }
+
+  /** Pivot items of a single run (Th. 1), in closed form. Folding `⊕` over
+    * the run's σ-filtered output sets keeps exactly the items `>= L`, where
+    * `L` is the largest of the sets' smallest items (ε = 0 counts as an item
+    * here). So `K(r)` is every frequent non-ε item `>= L` of the run; it is
+    * empty if some set has no frequent item. `maxFid < 0` filters nothing.
+    */
+  def pivotsOfRun(run: Seq[Array[Int]], maxFid: Int): Array[Int] = {
+    val cap = if (maxFid < 0) Int.MaxValue else maxFid
+    if (run.exists(os => os.isEmpty || os(0) > cap)) return Array.emptyIntArray
+    val lo = run.map(_(0)).maxOption.getOrElse(0) // L
+    run.flatMap(_.filter(w => w >= lo && w != 0 && w <= cap)).distinct.sorted.toArray
   }
 }

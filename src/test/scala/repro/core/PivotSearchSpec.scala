@@ -8,7 +8,7 @@ import repro.fst.FstCompiler
 import java.util.Random
 
 class PivotSearchSpec extends AnyFunSuite {
-  import PivotFold.oplus
+  import PivotFold.{oplus, pivotsOfRun}
   import PivotSearch._
 
   private lazy val fst = FstCompiler.compile(piEx, dict)

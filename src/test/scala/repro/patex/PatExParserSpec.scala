@@ -124,6 +124,17 @@ class PatExParserSpec extends AnyFunSuite {
       Concat(List(Item("b", false, false), Item("c", false, false))))))
   }
 
+  test("parse(print(parse(s))) == parse(s) for the batteries") {
+    import repro.eval.Constraints._
+    val strings = repro.TestGen.patterns.map(_._2) ++
+      (tableIVBattery :+ t2(5, 1, 5)).map(_.patex) ++
+      Seq("('MP3 Players'^=)", "[a|[b c]]|d", "[[a b] c]{2,} [d|e]*", "a+? b{,5} [.^ .]{3}{1,2}")
+    for (s <- strings) {
+      val printed = PatExPrinter.print(p(s))
+      assert(p(printed) == p(s), s"$s printed as $printed")
+    }
+  }
+
   test("errors: unbalanced parens") { intercept[Exception](p("(a")) }
   test("errors: dangling operator") { intercept[Exception](p("*a")) }
   test("errors: empty alternation branch") { intercept[Exception](p("a|")) }
