@@ -9,11 +9,11 @@ import scala.collection.mutable
 /** DESQ-DFS: pattern-growth mining under a DESQ subsequence constraint
   * (Sec. V-C; originally from the DESQ paper [5]).
   *
-  * The search tree grows a prefix one output item at a time. Each node holds a
-  * projected database of `(T, pos, state)` snapshots — FST simulations of `T`
-  * that have produced exactly the node's prefix and stand at `pos`/`state`.
-  * A prefix is a complete candidate for `T` if some snapshot can consume the
-  * rest of `T` producing only ε.
+  * The search is [[PatternGrowth]]'s. Each node holds a projected database
+  * of `(T, pos, state)` snapshots — FST simulations of `T` that have produced
+  * exactly the node's prefix and stand at `pos`/`state`. A prefix is a
+  * complete candidate for `T` if some snapshot can consume the rest of `T`
+  * producing only ε.
   *
   * Snapshots are the product states of [[FstSimulator.pivotCells]], one pass
   * per sequence with `k` the item cap, a snapshot being `seen` unless pivot
@@ -34,8 +34,9 @@ import scala.collection.mutable
   */
 object DesqDfs {
 
-  /** Limits of the projected-database entry, which packs `(tid, pos, state)`
-    * into one `Long` with 21 bits for the position and 10 for the state.
+  /** Limits of a projected-database entry's `local`, which packs
+    * `(pos, state)` into a non-negative `Int` with 21 bits for the position
+    * and 10 for the state.
     */
   val MaxFstStates = 1024
   val MaxSequenceLength = (1 << 21) - 1
@@ -61,103 +62,68 @@ object DesqDfs {
     val maxLen = db.iterator.map(_._1.length).max
     require(maxLen <= MaxSequenceLength,
       s"DESQ-DFS supports sequences of at most $MaxSequenceLength items; got one of $maxLen")
+    require((maxLen + 1).toLong * fst.numStates <= Int.MaxValue,
+      s"DESQ-DFS: a sequence of $maxLen items on an FST of ${fst.numStates} states has more " +
+        s"position-state cells than an Int indexes (${Int.MaxValue})")
     val itemCap = pivot.fold(maxFid)(math.min(_, maxFid))
     if (pivot.exists(_ > itemCap)) return Map.empty // an infrequent pivot is in no frequent pattern
-    new Search(db, fst, dict, sigma, itemCap, pivot.getOrElse(0), pivot.isDefined && earlyStop, maxLen).run()
+    new Search(db.map(_._1).toArray, db.map(_._2).toArray, fst, dict, sigma, itemCap,
+      pivot.getOrElse(0), pivot.isDefined && earlyStop, maxLen).run()
   }
 
   /** One mining run: the per-sequence [[FstSimulator.pivotCells]] tables and
-    * the scratch state of the depth-first search.
+    * the scratch state of the ε-DFS. An entry's `local` is `pos << 10 | state`.
     *
     * @param k     the pivot, or 0 (ε, never an output item) when unrestricted
     * @param prune pivot pruning on
     */
   private final class Search(
-      db: IndexedSeq[(Array[Int], Long)], fst: Fst, dict: Dictionary,
+      seqs: Array[Array[Int]], weights: Array[Long], fst: Fst, dict: Dictionary,
       sigma: Long, itemCap: Int, k: Int, prune: Boolean, maxLen: Int
-  ) {
+  ) extends PatternGrowth(weights, sigma, k) {
     private val s = fst.numStates
-    private val seqs = db.map(_._1).toArray
-    private val weights = db.map(_._2).toArray
     private val seqCells = seqs.map(FstSimulator.pivotCells(_, fst, dict, itemCap))
-
-    private val results = mutable.HashMap.empty[Pattern, Long]
-    private val prefix = mutable.ArrayBuffer.empty[Int]
 
     // ε-DFS visited set: (pos, state) was visited for the current snapshot
     // group iff its stamp equals `epoch`.
     private val stamp = new Array[Int]((maxLen + 1) * s)
     private var epoch = 0
 
-    // Scratch state of the node being expanded and of its current sequence.
-    private var children: mutable.LongMap[mutable.ArrayBuilder.ofLong] = _
+    // Scratch state of the node being extended and of its current sequence.
     private var seen = 1 // the snapshots' seen bit: 0 while pivot pruning is on
+    private var toLabel = LeadsToLabel // the leads-to-label bit for `seen`
     private var tid = 0
     private var seq: Array[Int] = _
     private var seqCell: Array[Byte] = _
-
-    @inline private def enc(tid: Int, pos: Int, q: Int): Long = (tid.toLong << 31) | (pos.toLong << 10) | q
-    @inline private def decTid(e: Long): Int = (e >>> 31).toInt
-    @inline private def decPos(e: Long): Int = ((e >>> 10) & 0x1FFFFF).toInt
-    @inline private def decQ(e: Long): Int = (e & 0x3FF).toInt
 
     def run(): Map[Pattern, Long] = {
       val root = new mutable.ArrayBuilder.ofLong
       val rootLive = Live << (if (prune) 0 else 1)
       for (t <- seqs.indices if (seqCells(t)(fst.initial) & rootLive) != 0)
-        root += enc(t, 0, fst.initial)
-      expand(root.result(), hasPivot = false)
-      results.toMap
+        root += (t.toLong << 32 | fst.initial)
+      run(root.result())
     }
 
-    /** Expand the node whose projected database is `entries` (in tid order). */
-    private def expand(entries: Array[Long], hasPivot: Boolean): Unit = {
-      val kids = mutable.LongMap.empty[mutable.ArrayBuilder.ofLong]
-      children = kids
+    protected def extend(db: Array[Long], hasPivot: Boolean): Unit = {
       seen = if (prune && !hasPivot) 0 else 1
+      toLabel = if (seen == 0) Live else LeadsToLabel // unseen, the two bits are equal
       var ei = 0
-      while (ei < entries.length) {
-        val e = entries(ei)
-        if (ei == 0 || decTid(e) != tid) {
-          tid = decTid(e)
+      while (ei < db.length) {
+        val e = db(ei)
+        if (ei == 0 || (e >>> 32).toInt != tid) {
+          tid = (e >>> 32).toInt
           seq = seqs(tid)
           seqCell = seqCells(tid)
           if (epoch == Int.MaxValue) { java.util.Arrays.fill(stamp, 0); epoch = 0 }
           epoch += 1
         }
-        dfs(decPos(e), decQ(e))
+        dfs(e.toInt >>> 10, e.toInt & 0x3FF)
         ei += 1
       }
-
-      kids.foreachEntry { (item, builder) =>
-        val w = item.toInt
-        // Child entries arrive grouped by tid. Upper bound on any extension's
-        // support: total weight of its distinct tids.
-        val buf = builder.result()
-        var bound = 0L
-        var support = 0L
-        var lastTid = -1
-        var counted = false
-        var bi = 0
-        while (bi < buf.length) {
-          val e = buf(bi)
-          val t = decTid(e)
-          if (t != lastTid) { bound += weights(t); lastTid = t; counted = false }
-          if (!counted && (seqCells(t)(decPos(e) * s + decQ(e)) & End) != 0) {
-            support += weights(t); counted = true
-          }
-          bi += 1
-        }
-        if (bound >= sigma) {
-          prefix += w
-          val childHasPivot = hasPivot || w == k
-          if (support >= sigma && (k == 0 || childHasPivot))
-            results(Pattern(prefix.toArray)) = support
-          expand(sortedDistinct(buf), childHasPivot)
-          prefix.remove(prefix.length - 1)
-        }
-      }
     }
+
+    protected def accepts(e: Long): Boolean =
+      (seqCells((e >>> 32).toInt)((e.toInt >>> 10) * s + (e.toInt & 0x3FF)) & End) != 0
 
     /** Follow ε-moves from snapshot `(i, q)` of the current sequence into
       * states that lead to a labelled step, and add every item step into a
@@ -175,35 +141,19 @@ object DesqDfs {
       while (j < row.start(q + 1)) {
         val to = row.to(j)
         val c = seqCell(next + to)
-        if (row.epsOnly(j)) { if ((c & LeadsToLabel << seen) != 0) dfs(i + 1, to) }
+        if (row.epsOnly(j)) { if ((c & toLabel) != 0) dfs(i + 1, to) }
         else if ((c & Live << 1) != 0) {
           val keep = (c & Live << seen) != 0
           val outs = row.out(j)
           var oi = 0
           while (oi < outs.length && outs(oi) <= itemCap) {
             val w = outs(oi)
-            if (keep || w == k) {
-              var b = children.getOrNull(w)
-              if (b == null) { b = new mutable.ArrayBuilder.ofLong; children.update(w, b) }
-              b += enc(tid, i + 1, to)
-            }
+            if (keep || w == k) add(w, tid.toLong << 32 | (i + 1) << 10 | to)
             oi += 1
           }
         }
         j += 1
       }
     }
-  }
-
-  /** Sorts `a` in place and returns its distinct values. */
-  private def sortedDistinct(a: Array[Long]): Array[Long] = {
-    java.util.Arrays.sort(a)
-    var n = 0
-    var i = 0
-    while (i < a.length) {
-      if (n == 0 || a(i) != a(n - 1)) { a(n) = a(i); n += 1 }
-      i += 1
-    }
-    if (n == a.length) a else java.util.Arrays.copyOf(a, n)
   }
 }

@@ -157,6 +157,9 @@ object Nfa {
       t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int,
       maxNodes: Int = 1 << 20, minimize: Boolean = true
   ): Map[Int, Nfa] = {
+    require(2L * (t.length + 1) * fst.numStates <= Int.MaxValue,
+      s"D-CAND: a sequence of ${t.length} items on an FST of ${fst.numStates} states has more " +
+        s"product states than an Int indexes (${Int.MaxValue})")
     val pivots = PivotSearch.grid(t, fst, dict, maxFid).pivots
     if (pivots.isEmpty) return Map.empty
     val tries = new PivotTries(t, fst, dict, maxNodes, minimize)
@@ -214,7 +217,8 @@ object Nfa {
     }
 
     private def isLive(p: Int): Boolean = (cells(p >>> 1) & Live << (p & 1)) != 0
-    private def leadsToLabel(p: Int): Boolean = (cells(p >>> 1) & LeadsToLabel << (p & 1)) != 0
+    private def leadsToLabel(p: Int): Boolean =
+      (cells(p >>> 1) & (if ((p & 1) != 0) LeadsToLabel else Live)) != 0 // unseen, the bits are equal
     private def leadsToEnd(p: Int): Boolean = (p & 1) != 0 && (cells(p >>> 1) & End) != 0
 
     /** `labelId << 1 | (label holds k)` of labelled step `j` at position

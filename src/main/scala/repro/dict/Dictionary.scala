@@ -102,25 +102,23 @@ object Dictionary {
     val par = ordered.map(n => parents.getOrElse(n, Nil).map(idx).toArray.sorted)
     val fr = ordered.map(n => itemFreqs.getOrElse(n, 0L))
     val d = new Dictionary(ordered, par, fr)
-    d.assertAcyclic()
+    assertAcyclic(d)
     d
   }
 
-  implicit final class DictOps(private val d: Dictionary) extends AnyVal {
-    /** Sanity check: hierarchy must be a DAG (anc computation would loop forever
-      * only logically — our BFS with a seen-set terminates — but a cycle makes
-      * generalization meaningless, so fail fast at build time).
-      */
-    def assertAcyclic(): Unit = {
-      val state = new Array[Byte](d.size + 1) // 0 unvisited, 1 in-stack, 2 done
-      def visit(f: Int): Unit = {
-        if (state(f) == 1) throw new IllegalArgumentException(s"hierarchy cycle at ${d.name(f)}")
-        if (state(f) == 2) return
-        state(f) = 1
-        d.parentsOf(f - 1).foreach(visit)
-        state(f) = 2
-      }
-      (1 to d.size).foreach(visit)
+  /** Sanity check: hierarchy must be a DAG (anc computation would loop forever
+    * only logically — our BFS with a seen-set terminates — but a cycle makes
+    * generalization meaningless, so fail fast at build time).
+    */
+  private def assertAcyclic(d: Dictionary): Unit = {
+    val state = new Array[Byte](d.size + 1) // 0 unvisited, 1 in-stack, 2 done
+    def visit(f: Int): Unit = {
+      if (state(f) == 1) throw new IllegalArgumentException(s"hierarchy cycle at ${d.name(f)}")
+      if (state(f) == 2) return
+      state(f) = 1
+      d.parentsOf(f - 1).foreach(visit)
+      state(f) = 2
     }
+    (1 to d.size).foreach(visit)
   }
 }

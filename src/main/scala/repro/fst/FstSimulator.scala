@@ -54,12 +54,12 @@ object FstSimulator {
     floor
   }
 
-  /** Bits of a [[pivotCells]] entry: `Live << seen`, `LeadsToLabel << seen`
-    * and `End`.
+  /** Bits of a [[pivotCells]] entry: `Live << seen`, `LeadsToLabel` (seen
+    * only) and `End`.
     */
   final val Live = 1
   final val LeadsToLabel = 4
-  final val End = 16
+  final val End = 8
 
   /** The pivot-`k` backward pass over `t`, one byte per cell `i * S + q`
     * (`S = fst.numStates`, `i` in 0..n).
@@ -73,9 +73,11 @@ object FstSimulator {
     * outputs `k`; a live `(i, q, false)` implies a live `(i, q, true)`. Per
     * cell, bit:
     *  - `Live << seen`: `(i, q, seen)` is live.
-    *  - `LeadsToLabel << seen`: ε-only steps through live states lead from
-    *    it to a labelled step (a set that is not ε-only, floor `<= k`) into
-    *    a live state, which is seen if `seen` or the set holds `k`.
+    *  - `LeadsToLabel`: ε-only steps through live states lead from
+    *    `(i, q, true)` to a labelled step (a set that is not ε-only, floor
+    *    `<= k`) into a live seen state. For `(i, q, false)` the same fact,
+    *    with a target that is seen iff the set holds `k`, is its `Live` bit:
+    *    a run that must still output `k` can only do so through such a step.
     *  - `End`: ε-only steps lead from `(i, q)` to a final state at `n`.
     *
     * O(|T|·|Δ|).
@@ -103,7 +105,7 @@ object FstSimulator {
               while (m < o.length && o(m) < k) m += 1
               val both = Live | Live << 1
               val live = if (m < o.length && o(m) == k) both else b & both
-              bits |= live | live << 2 // the step leads each state it makes live to a label
+              bits |= live | (live & Live << 1) << 1 // the step leads to a label
             }
           }
           j += 1

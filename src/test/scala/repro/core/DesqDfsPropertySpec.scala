@@ -88,6 +88,7 @@ class DesqDfsPropertySpec extends AnyFunSuite {
             // The runs that count for k: every set's floor is <= k. Live
             // unseen also needs k in a set; leading to a labelled step needs
             // a set that is not ε-only; a run of ε-only sets ends the prefix.
+            // Unseen, leading to a labelled step is read from the Live bit.
             val cells = FstSimulator.pivotCells(t, fst, dict, k)
             cells.indices.forall { c =>
               val counted = runs(c).filter(_.forall(_(0) <= k))
@@ -96,12 +97,12 @@ class DesqDfsPropertySpec extends AnyFunSuite {
               val want =
                 (if (counted.exists(holdsK)) Live else 0) |
                   (if (counted.nonEmpty) Live << 1 else 0) |
-                  (if (counted.exists(r => labelled(r) && holdsK(r))) LeadsToLabel else 0) |
-                  (if (counted.exists(labelled)) LeadsToLabel << 1 else 0) |
+                  (if (counted.exists(labelled)) LeadsToLabel else 0) |
                   (if (runs(c).exists(_.forall(isEps))) End else 0)
+              val unseenLeadsToLabel = counted.exists(r => labelled(r) && holdsK(r))
               if ((want & Live) != 0) kCells += 1
-              else if ((want & LeadsToLabel << 1) != 0) seenOnlyCells += 1
-              cells(c) == want
+              else if ((want & LeadsToLabel) != 0) seenOnlyCells += 1
+              cells(c) == want && ((cells(c) & Live) != 0) == unseenLeadsToLabel
             }
           }
       }

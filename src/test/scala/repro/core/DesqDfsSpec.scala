@@ -99,6 +99,14 @@ class DesqDfsSpec extends AnyFunSuite {
     assert(e2.getMessage.contains(s"at most ${DesqDfs.MaxSequenceLength} items"))
   }
 
+  test("a position-state cell index past Int range is rejected before any per-sequence work") {
+    val states = DesqDfs.MaxFstStates
+    val wide = new Fst(states, 0, Array.fill(states)(true), Array.empty)
+    val long = new Array[Int](DesqDfs.MaxSequenceLength) // (2^21) * 1024 cells = 2^31
+    val e = intercept[IllegalArgumentException](DesqDfs.mine(asDb(Seq(long)), wide, dict, 1, dict.size))
+    assert(e.getMessage.contains("more position-state cells than an Int indexes"))
+  }
+
   test("empty database mines nothing") {
     assert(DesqDfs.mine(IndexedSeq.empty, fst, dict, 1, dict.size).isEmpty)
   }

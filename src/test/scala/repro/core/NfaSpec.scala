@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Ex, TestGen}
 import repro.Ex._
-import repro.fst.{BlowUpException, FstCompiler, FstSimulator}
+import repro.fst.{BlowUpException, Fst, FstCompiler, FstSimulator}
 
 import java.util.Random
 
@@ -55,6 +55,14 @@ class NfaSpec extends AnyFunSuite {
     assert(nodes > 1)
     assert(Nfa.buildForSequence(T1, fst, dict, maxFid, maxNodes = nodes).nonEmpty)
     intercept[BlowUpException](Nfa.buildForSequence(T1, fst, dict, maxFid, maxNodes = nodes - 1))
+  }
+
+  test("a product-state index past Int range is rejected before the grid allocates") {
+    val states = 1024
+    val wide = new Fst(states, 0, Array.fill(states)(true), Array.empty)
+    val long = new Array[Int](1 << 20) // 2 * (2^20 + 1) * 1024 product states > 2^31 - 1
+    val e = intercept[IllegalArgumentException](Nfa.buildForSequence(long, wide, dict, dict.size))
+    assert(e.getMessage.contains("more product states than an Int indexes"))
   }
 
   test("minimization preserves the language (running example, all sequences)") {
