@@ -11,11 +11,7 @@ import repro.util.Metrics
 class BaselinesBench extends BenchBase {
 
   test("Fig 9-style: naive baselines vs D-SEQ and D-CAND") {
-    val battery = Seq(
-      Constraints.n1(5), Constraints.n2(10), Constraints.n3(5),
-      Constraints.n4(50), Constraints.n5(50),
-      Constraints.a1(10), Constraints.a2(5), Constraints.a3(5), Constraints.a4(5))
-    report("Fig9-baselines", Tables.baselinesTable(spark, datasets, battery))
+    report("Fig9-baselines", Tables.baselinesTable(spark, datasets, Constraints.fig9Battery))
   }
 
   test("shuffle size: compact representations beat SEMI-NAIVE's explicit candidates") {

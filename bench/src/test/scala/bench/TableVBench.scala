@@ -10,10 +10,7 @@ import repro.eval.{Constraints, Tables}
 class TableVBench extends BenchBase {
 
   test("Table V: speed-up over sequential execution") {
-    val battery = Seq(
-      Constraints.n4(50), Constraints.n5(50),
-      Constraints.t3(25, 1, 5), Constraints.t3(100, 1, 5),
-      Constraints.t2(25, 0, 5), Constraints.t2(100, 0, 5))
+    val battery = Constraints.tableVBattery
     val table = Tables.tableV(spark, datasets, battery)
     report("TableV", table)
     // Every row rendered (tableV asserts exact result agreement internally).

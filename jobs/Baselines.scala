@@ -9,11 +9,7 @@ import repro.eval.{Constraints, Tables}
 object Baselines extends JobBase {
   def main(args: Array[String]): Unit = withSpark("Baselines") { spark =>
     val ds = Tables.loadDatasets(spark)
-    val battery = Seq(
-      Constraints.n1(5), Constraints.n2(10), Constraints.n3(5),
-      Constraints.n4(50), Constraints.n5(50),
-      Constraints.a1(10), Constraints.a2(5), Constraints.a3(5), Constraints.a4(5))
     println("=== Baselines (Fig. 9 as a table): time and shuffle size ===")
-    println(Tables.baselinesTable(spark, ds, battery))
+    println(Tables.baselinesTable(spark, ds, Constraints.fig9Battery))
   }
 }

@@ -8,7 +8,6 @@ trait JobBase {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.ui.enabled", "false")
       .getOrCreate()
     try body(spark)

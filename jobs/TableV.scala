@@ -8,11 +8,7 @@ import repro.eval.{Constraints, Tables}
 object TableV extends JobBase {
   def main(args: Array[String]): Unit = withSpark("TableV") { spark =>
     val ds = Tables.loadDatasets(spark)
-    val battery = Seq(
-      Constraints.n4(50), Constraints.n5(50),
-      Constraints.t3(25, 1, 5), Constraints.t3(100, 1, 5),
-      Constraints.t2(25, 0, 5), Constraints.t2(100, 0, 5))
     println("=== Table V: speed-up over sequential execution ===")
-    println(Tables.tableV(spark, ds, battery))
+    println(Tables.tableV(spark, ds, Constraints.tableVBattery))
   }
 }

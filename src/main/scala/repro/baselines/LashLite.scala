@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
-import repro.core.Pattern
+import repro.core.{Pattern, PatternGrowth}
 import repro.dict.Dictionary
 
 import scala.collection.mutable
@@ -15,8 +15,8 @@ import scala.collection.mutable
   * local mining are computed directly from positions and ancestor sets, which
   * is exactly why the specialized algorithm is faster and less general.
   *
-  * Same dataflow shape: item-based partitioning, one shuffle round,
-  * specialized positional prefix-growth in the reduce phase.
+  * Same dataflow shape: item-based partitioning, one shuffle round, and in
+  * the reduce phase positional prefix-growth on [[PatternGrowth]]'s search.
   */
 object LashLite {
 
@@ -32,12 +32,11 @@ object LashLite {
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
 
+    // Pivots are frequent items, so an ancestor `<= k` is also `<= maxFid`.
     sequences
-      .flatMap { t => pivotsOf(t, bcDict.value, maxFid, gamma).iterator.map(k => (k, rewrite(t, bcDict.value, maxFid, gamma, k))) }
+      .flatMap { t => pivotsOf(t, bcDict.value, maxFid, gamma).iterator.map(k => (k, rewrite(t, bcDict.value, gamma, k))) }
       .groupByKey(sc.defaultParallelism)
-      .flatMap { case (k, seqs) =>
-        minePartition(seqs.toIndexedSeq, bcDict.value, sigma, gamma, lambda, maxFid, k)
-      }
+      .flatMap { case (k, seqs) => minePartition(seqs.toArray, bcDict.value, sigma, gamma, lambda, k) }
   }
 
   /** Frequent ancestors (<= maxFid) of the item at each position. */
@@ -66,89 +65,67 @@ object LashLite {
   }
 
   private final val Blank = -1
+  private final val Split = -2
 
-  /** Rewrite for pivot `k`: blank out positions with no frequent ancestor
-    * `<= k` (they can never contribute an item but still count toward gaps),
-    * split where more than γ consecutive blanks make the gap unbridgeable,
-    * and trim blank edges. Encoded as one array with `Blank` separators kept
-    * within segments; segments are returned concatenated with a split marker.
+  /** Rewrite for pivot `k`: a position whose item has no ancestor `<= k` can
+    * never contribute an item but still counts toward gaps, so it becomes a
+    * `Blank`; more than γ blanks in a row make the gap unbridgeable and become
+    * one `Split`. Blank edges are trimmed.
     */
-  private def rewrite(t: Array[Int], dict: Dictionary, maxFid: Int, gamma: Int, k: Int): Array[Array[Int]] = {
-    val usable = t.map(item => dict.anc(item).exists(a => a <= k && a <= maxFid))
-    val segments = mutable.ArrayBuffer.empty[Array[Int]]
-    val cur = mutable.ArrayBuffer.empty[Int]
+  private def rewrite(t: Array[Int], dict: Dictionary, gamma: Int, k: Int): Array[Int] = {
+    val out = new mutable.ArrayBuilder.ofInt
     var blanks = 0
-    for (i <- t.indices) {
-      if (usable(i)) {
-        if (cur.nonEmpty) for (_ <- 0 until blanks) cur += Blank
-        blanks = 0
-        cur += t(i)
-      } else {
-        blanks += 1
-        if (blanks > gamma && cur.nonEmpty) {
-          segments += cur.toArray; cur.clear(); blanks = 0
+    for (item <- t) {
+      if (dict.anc(item)(0) <= k) { // anc is sorted ascending
+        if (out.length > 0) {
+          if (blanks > gamma) out += Split
+          else for (_ <- 0 until blanks) out += Blank
         }
-      }
+        blanks = 0
+        out += item
+      } else blanks += 1
     }
-    if (cur.nonEmpty) segments += cur.toArray
-    segments.toArray
+    out.result()
   }
 
-  /** Specialized positional prefix-growth within a partition. */
+  /** Positional prefix-growth within pivot `k`'s partition. An entry is
+    * `tid << 32 | p`, `p` the position after the prefix's last item.
+    */
   private def minePartition(
-      db: IndexedSeq[Array[Array[Int]]],
+      db: Array[Array[Int]],
       dict: Dictionary,
       sigma: Long,
       gamma: Int,
       lambda: Int,
-      maxFid: Int,
       k: Int
   ): Iterator[(Pattern, Long)] = {
-    val results = mutable.HashMap.empty[Pattern, Long]
-    val prefix = mutable.ArrayBuffer.empty[Int]
-
-    // entry: (tid, segment index, next start position within segment)
-    type Entry = (Int, Int, Int)
-
-    def itemsAt(tid: Int, seg: Int, pos: Int): Array[Int] = {
-      val item = db(tid)(seg)(pos)
-      if (item == Blank) Array.empty
-      else dict.anc(item).filter(a => a <= k && a <= maxFid)
-    }
-
-    def expand(entries: Seq[Entry], hasPivot: Boolean, fromRoot: Boolean): Unit = {
-      if (prefix.length >= lambda) return
-      val children = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Entry]]
-      val seen = mutable.HashSet.empty[(Int, Int, Int, Int)]
-      for ((tid, seg, start) <- entries) {
-        val segArr = db(tid)(seg)
-        // From the root every position starts a pattern; afterwards only the
-        // next γ+1 positions are reachable.
-        val limit = if (fromRoot) segArr.length - 1 else math.min(segArr.length - 1, start + gamma)
-        var p = start
-        while (p <= limit) {
-          for (w <- itemsAt(tid, seg, p))
-            if (seen.add((w, tid, seg, p)))
-              children.getOrElseUpdate(w, mutable.ArrayBuffer.empty) += ((tid, seg, p + 1))
-          p += 1
+    val search = new PatternGrowth(Array.fill(db.length)(1L), sigma, k) {
+      protected def extend(entries: Array[Long], hasPivot: Boolean): Unit =
+        if (prefixLength < lambda) {
+          // From the root every position starts a pattern; afterwards only
+          // the next γ + 1 positions up to a split are in reach.
+          val root = prefixLength == 0
+          var i = 0
+          while (i < entries.length) {
+            val tid = entries(i) >>> 32
+            val t = db(tid.toInt)
+            var p = entries(i).toInt
+            val end = if (root) t.length else math.min(t.length, p + gamma + 1)
+            while (p < end && (root || t(p) != Split)) {
+              if (t(p) > 0) {
+                val anc = dict.anc(t(p))
+                var x = 0
+                while (x < anc.length && anc(x) <= k) { add(anc(x), tid << 32 | (p + 1)); x += 1 }
+              }
+              p += 1
+            }
+            i += 1
+          }
         }
-      }
-      for ((w, buf) <- children) {
-        val distinctTids = buf.iterator.map(_._1).toSet.size.toLong
-        if (distinctTids >= sigma) {
-          prefix += w
-          val childHasPivot = hasPivot || w == k
-          // any prefix of length >= 2 is a complete candidate
-          if (prefix.length >= 2 && childHasPivot)
-            results(Pattern(prefix.toArray)) = distinctTids
-          expand(buf.toSeq, childHasPivot, fromRoot = false)
-          prefix.remove(prefix.length - 1)
-        }
-      }
-    }
 
-    val roots = for (tid <- db.indices; seg <- db(tid).indices) yield (tid, seg, 0)
-    expand(roots, hasPivot = false, fromRoot = true)
-    results.iterator.map { case (p, f) => (p, f) }
+      // Every prefix of at least 2 items is a candidate.
+      protected def accepts(entry: Long): Boolean = prefixLength > 0
+    }
+    search.run(Array.tabulate(db.length)(_.toLong << 32)).iterator
   }
 }

@@ -2,9 +2,9 @@ package repro.core
 
 import scala.collection.mutable
 
-/** The pattern-growth search both reduce sides run: pivot-restricted
-  * DESQ-DFS for D-SEQ (Sec. V-C) and NFA mining for D-CAND (Sec. VI-B), as
-  * DESQ defines it once.
+/** The pattern-growth search of three miners: pivot-restricted DESQ-DFS for
+  * D-SEQ (Sec. V-C), NFA mining for D-CAND (Sec. VI-B) and LASH-lite's
+  * positional mining (Sec. VII-D), as DESQ defines it once.
   *
   * The search grows a prefix one item at a time. A node's projected database
   * is a sorted array of distinct entries `seq << 32 | local`, `local` being a
@@ -21,7 +21,7 @@ import scala.collection.mutable
   * @param pivot   the item every emitted prefix holds, or 0 (ε, never an
   *                item) when unrestricted
   */
-private[core] abstract class PatternGrowth(weights: Array[Long], sigma: Long, pivot: Int) {
+private[repro] abstract class PatternGrowth(weights: Array[Long], sigma: Long, pivot: Int) {
   private val results = mutable.HashMap.empty[Pattern, Long]
   private val prefix = mutable.ArrayBuffer.empty[Int]
   private var children: mutable.LongMap[mutable.ArrayBuilder.ofLong] = _
@@ -34,6 +34,9 @@ private[core] abstract class PatternGrowth(weights: Array[Long], sigma: Long, pi
 
   /** Whether `entry` completes its sequence's match of the prefix. */
   protected def accepts(entry: Long): Boolean
+
+  /** The length of the prefix being extended. */
+  protected final def prefixLength: Int = prefix.length
 
   /** Adds `entry` to the projected database of the child for `item`. */
   protected final def add(item: Int, entry: Long): Unit = {

@@ -58,4 +58,17 @@ object Constraints {
     t3(25, 1, 5), t3(5, 1, 5),
     t1(200, 5), t1(50, 5)
   )
+
+  /** The Tab. V battery: D-SEQ / D-CAND speed-up over sequential DESQ-DFS. */
+  def tableVBattery: Seq[Constraint] = Seq(
+    n4(50), n5(50),
+    t3(25, 1, 5), t3(100, 1, 5),
+    t2(25, 0, 5), t2(100, 0, 5)
+  )
+
+  /** The Fig. 9 battery: NAIVE / SEMI-NAIVE / D-SEQ / D-CAND. */
+  def fig9Battery: Seq[Constraint] = Seq(
+    n1(5), n2(10), n3(5), n4(50), n5(50),
+    a1(10), a2(5), a3(5), a4(5)
+  )
 }

@@ -26,11 +26,15 @@ object FstSimulator {
     * `q`. A set's floor is its smallest item `<= cap`, ε = 0 included; a run
     * through a set with no such item does not count. `Int.MaxValue` when no
     * run counts, so with `cap = Int.MaxValue` a finite entry means the cell
-    * reaches a final state. Backward DP, O(|T|·|Δ|). Index `i` ranges 0..n.
+    * reaches a final state. Backward DP, O(|T|·|Δ|). Index `i` ranges 0..n;
+    * the `(n + 1) · S` cells must stay within `Int` range.
     */
   def floors(t: Array[Int], fst: Fst, dict: Dictionary, cap: Int): Array[Int] = {
     val n = t.length
     val s = fst.numStates
+    require((n + 1).toLong * s <= Int.MaxValue,
+      s"a sequence of n = $n items on an FST of S = $s states has more position-state cells " +
+        s"than an Int indexes (${Int.MaxValue})")
     val floor = new Array[Int]((n + 1) * s)
     for (q <- 0 until s) floor(n * s + q) = if (fst.isFinal(q)) 0 else Int.MaxValue
     var i = n - 1

@@ -55,4 +55,18 @@ class LashLiteSpec extends SparkSpec {
     assert(names("m0 m0") == 2)      // generalized adjacent pair in seqs 1, 2
     assert(names("top top") == 3)    // fully generalized pair occurs everywhere
   }
+
+  test("more than γ blanks split a sequence: no pattern spans the split") {
+    // x, y, u and v occur once, so at σ = 2 they have no frequent ancestor and
+    // are blanks; two of them exceed γ = 1 and split each sequence after c.
+    val (d, db) = TestGen.encodeLocal(
+      Seq("a b c x y a c", "a b c u v a c").map(_.split(' ')), Map.empty)
+    val rdd = spark.sparkContext.parallelize(db, 2)
+    val res = LashLite.mine(spark.sparkContext, rdd, d, 2, gamma = 1, lambda = 3)
+      .collect().toMap
+    val names = res.map { case (p, f) => p.items.map(d.name).mkString(" ") -> f }
+    // "c a", "b a", "a a" and "c c" would span the split; "a c" also occurs
+    // after it.
+    assert(names == Map("a b" -> 2L, "a c" -> 2L, "b c" -> 2L, "a b c" -> 2L))
+  }
 }

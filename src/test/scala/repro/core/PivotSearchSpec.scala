@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Ex, TestGen}
 import repro.Ex._
-import repro.fst.FstCompiler
+import repro.fst.{Fst, FstCompiler}
 
 import java.util.Random
 
@@ -97,6 +97,15 @@ class PivotSearchSpec extends AnyFunSuite {
   }
 
   // ---------------------------------------------------------------- rewrite
+
+  test("a position-state cell index past Int range is rejected before the grid allocates") {
+    val states = 1024
+    val wide = new Fst(states, 0, Array.fill(states)(true), Array.empty)
+    val long = new Array[Int](1 << 21) // (2^21 + 1) * 1024 cells > 2^31 - 1
+    val e = intercept[IllegalArgumentException](grid(long, wide, dict, dict.size))
+    assert(e.getMessage.contains(s"n = ${1 << 21} items"))
+    assert(e.getMessage.contains(s"S = $states states"))
+  }
 
   test("Sec V-B: ρa1(T2) = a1ea1eb — leading irrelevant e's dropped") {
     val g = grid(T2, fst, dict, dict.maxFrequentFid(2))
