@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
-import repro.core.{Pattern, PatternGrowth}
+import repro.core.{Drivers, Pattern, PatternGrowth}
 import repro.dict.Dictionary
 
 import scala.collection.mutable
@@ -15,8 +15,9 @@ import scala.collection.mutable
   * local mining are computed directly from positions and ancestor sets, which
   * is exactly why the specialized algorithm is faster and less general.
   *
-  * Same dataflow shape: item-based partitioning, one shuffle round, and in
-  * the reduce phase positional prefix-growth on [[PatternGrowth]]'s search.
+  * Same dataflow as D-SEQ and D-CAND (`Drivers.minePivots`): item-based
+  * partitioning, one shuffle round, and in the reduce phase positional
+  * prefix-growth on [[PatternGrowth]]'s search.
   */
 object LashLite {
 
@@ -31,25 +32,20 @@ object LashLite {
     require(lambda >= 2, "T3 subsequences have at least 2 items")
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
-
-    // Pivots are frequent items, so an ancestor `<= k` is also `<= maxFid`.
-    sequences
-      .flatMap { t => pivotsOf(t, bcDict.value, maxFid, gamma).iterator.map(k => (k, rewrite(t, bcDict.value, gamma, k))) }
-      .groupByKey(sc.defaultParallelism)
-      .flatMap { case (k, seqs) => minePartition(seqs.toArray, bcDict.value, sigma, gamma, lambda, k) }
+    Drivers.minePivots(sequences, aggregate = false)(
+      records(_, bcDict.value, maxFid, gamma))(
+      minePivot(_, _, bcDict.value, sigma, gamma, lambda))
   }
 
-  /** Frequent ancestors (<= maxFid) of the item at each position. */
-  private def frequentAncs(t: Array[Int], dict: Dictionary, maxFid: Int): Array[Array[Int]] =
-    t.map(item => dict.anc(item).filter(_ <= maxFid))
-
-  /** Pivot items of `t`: `p` is a pivot iff some 2-item gap-feasible candidate
-    * has maximum `p` — i.e. some position generalizes to `p` and a neighbor
-    * within gap reach has a frequent ancestor `<= p`. (Longer candidates with
-    * max `p` always contain such an adjacent pair.)
+  /** LASH-lite's map side: `(k, rewrite of t for k)` per pivot `k` of `t`.
+    * `p` is a pivot iff some 2-item gap-feasible candidate has maximum `p` —
+    * i.e. some position generalizes to `p` and a neighbor within gap reach
+    * has a frequent ancestor `<= p`. (Longer candidates with max `p` always
+    * contain such an adjacent pair.)
     */
-  private def pivotsOf(t: Array[Int], dict: Dictionary, maxFid: Int, gamma: Int): Array[Int] = {
-    val ancs = frequentAncs(t, dict, maxFid)
+  private[repro] def records(t: Array[Int], dict: Dictionary, maxFid: Int,
+                             gamma: Int): Iterator[(Int, Array[Int])] = {
+    val ancs = t.map(item => dict.anc(item).filter(_ <= maxFid)) // frequent ancestors per position
     val minAnc = ancs.map(a => if (a.isEmpty) Int.MaxValue else a.min)
     val pivots = mutable.SortedSet.empty[Int]
     for (i <- t.indices; p <- ancs(i)) {
@@ -61,7 +57,7 @@ object LashLite {
       }
       if (ok) pivots += p
     }
-    pivots.toArray
+    pivots.iterator.map(k => (k, rewrite(t, dict, gamma, k)))
   }
 
   private final val Blank = -1
@@ -90,32 +86,56 @@ object LashLite {
 
   /** Positional prefix-growth within pivot `k`'s partition. An entry is
     * `tid << 32 | p`, `p` the position after the prefix's last item.
+    *
+    * While the prefix lacks `k`, an item other than `k` picked at position
+    * `p` is kept only if the next position `r > p` whose item generalizes to
+    * `k` comes before the next split and within the picks left,
+    * `r − p <= (λ − |child prefix|)·(γ + 1)`. Other entries can never reach
+    * `k`, and only patterns holding `k` are emitted.
     */
-  private def minePartition(
-      db: Array[Array[Int]],
+  private[repro] def minePivot(
+      k: Int,
+      db: IndexedSeq[(Array[Int], Long)],
       dict: Dictionary,
       sigma: Long,
       gamma: Int,
-      lambda: Int,
-      k: Int
+      lambda: Int
   ): Iterator[(Pattern, Long)] = {
-    val search = new PatternGrowth(Array.fill(db.length)(1L), sigma, k) {
+    val seqs = db.map(_._1).toArray
+    // nextK(tid)(p) is that `r`, or Int.MaxValue if there is none.
+    val nextK = seqs.map { t =>
+      val next = new Array[Int](t.length)
+      var r = Int.MaxValue
+      for (p <- t.indices.reverse) {
+        next(p) = r
+        if (t(p) == Split) r = Int.MaxValue
+        else if (t(p) > 0 && dict.isDesc(t(p), k)) r = p
+      }
+      next
+    }
+    val search = new PatternGrowth(db.map(_._2).toArray, sigma, k) {
       protected def extend(entries: Array[Long], hasPivot: Boolean): Unit =
         if (prefixLength < lambda) {
           // From the root every position starts a pattern; afterwards only
           // the next γ + 1 positions up to a split are in reach.
           val root = prefixLength == 0
+          val reach = (lambda - prefixLength - 1) * (gamma + 1)
           var i = 0
           while (i < entries.length) {
             val tid = entries(i) >>> 32
-            val t = db(tid.toInt)
+            val t = seqs(tid.toInt)
+            val next = nextK(tid.toInt)
             var p = entries(i).toInt
             val end = if (root) t.length else math.min(t.length, p + gamma + 1)
             while (p < end && (root || t(p) != Split)) {
               if (t(p) > 0) {
+                val reachesK = hasPivot || next(p) - p <= reach
                 val anc = dict.anc(t(p))
-                var x = 0
-                while (x < anc.length && anc(x) <= k) { add(anc(x), tid << 32 | (p + 1)); x += 1 }
+                var x = 0 // k is frequent, so every ancestor <= k is too
+                while (x < anc.length && anc(x) <= k) {
+                  if (reachesK || anc(x) == k) add(anc(x), tid << 32 | (p + 1))
+                  x += 1
+                }
               }
               p += 1
             }
@@ -126,6 +146,6 @@ object LashLite {
       // Every prefix of at least 2 items is a candidate.
       protected def accepts(entry: Long): Boolean = prefixLength > 0
     }
-    search.run(Array.tabulate(db.length)(_.toLong << 32)).iterator
+    search.run(Array.tabulate(seqs.length)(_.toLong << 32)).iterator
   }
 }

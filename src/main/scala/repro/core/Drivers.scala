@@ -6,6 +6,7 @@ import repro.dict.Dictionary
 import repro.fst.{Fst, FstCompiler, FstSimulator}
 
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Distributed FSM drivers (Alg. 1 of the paper): map over input sequences,
   * one round of shuffle, then mine each partition independently.
@@ -39,30 +40,23 @@ object Drivers {
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
-    sequences
-      .flatMap { t =>
-        val g = PivotSearch.grid(t, bcFst.value, bcDict.value, maxFid)
-        g.pivots.iterator.map { k =>
-          (k, if (rewrite) PivotSearch.rewrite(t, g, k) else t)
-        }
-      }
-      .groupByKey(sc.defaultParallelism)
-      .flatMap { case (k, seqs) =>
-        DesqDfs.mine(
-          seqs.iterator.map((_, 1L)).toIndexedSeq,
-          bcFst.value, bcDict.value, sigma, maxFid,
-          pivot = Some(k), earlyStop = earlyStop)
-      }
+    // 99–100% of the `(k, ρk(T))` records are distinct; a weight would only grow them.
+    minePivots(sequences, aggregate = false)(dSeqRecords(_, bcFst.value, bcDict.value, maxFid, rewrite))(
+      (k, seqs) => DesqDfs.mine(seqs, bcFst.value, bcDict.value, sigma, maxFid, Some(k), earlyStop).iterator)
+  }
+
+  /** D-SEQ's map side: `(k, ρk(t))`, or `(k, t)` without `rewrite`, per pivot `k` of `t`. */
+  private[repro] def dSeqRecords(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int,
+                                 rewrite: Boolean): Iterator[(Int, Array[Int])] = {
+    val g = PivotSearch.grid(t, fst, dict, maxFid)
+    g.pivots.iterator.map(k => (k, if (rewrite) PivotSearch.rewrite(t, g, k) else t))
   }
 
   /** D-CAND (Sec. VI): item-based partitioning with candidate representation.
     * The map phase encodes each sequence's pivot-k candidates as a minimized
-    * NFA and serializes it. One shuffle sends every `(k, nfa)` record to the
-    * partition of pivot `k`: with `aggregate`, a `reduceByKey` under that
-    * pivot partitioner merges identical NFAs into weighted ones, map-side
-    * (the MapReduce combine) and again on the reduce side. Each reduce
-    * partition then groups its NFAs by pivot and counts candidates directly
-    * on the compressed NFAs, one pivot at a time.
+    * NFA and serializes it; with `aggregate`, identical `(k, nfa)` records
+    * are merged into weighted ones. The reduce phase counts candidates
+    * directly on the compressed NFAs, one pivot at a time.
     */
   def dCand(
       sc: SparkContext,
@@ -78,37 +72,46 @@ object Drivers {
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
-    val byPivot = new PivotPartitioner(sc.defaultParallelism)
+    minePivots(sequences, aggregate)(
+      dCandRecords(_, bcFst.value, bcDict.value, maxFid, maxNodes, minimizeNfas))(dCandMine(_, _, sigma))
+  }
 
-    val perSeq = sequences.flatMap { t =>
-      Nfa.buildForSequence(t, bcFst.value, bcDict.value, maxFid, maxNodes,
-                           minimize = minimizeNfas)
-        .iterator.map { case (k, nfa) => ((k, NfaSerializer.serialize(nfa)), 1L) }
-    }
+  /** D-CAND's map side: `(k, serialized NFA of t's pivot-k candidates)` per pivot `k` of `t`. */
+  private[repro] def dCandRecords(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int, maxNodes: Int,
+                                  minimize: Boolean): Iterator[(Int, NfaSerializer.Bytes)] =
+    Nfa.buildForSequence(t, fst, dict, maxFid, maxNodes, minimize)
+      .iterator.map { case (k, nfa) => (k, NfaSerializer.serialize(nfa)) }
+
+  /** D-CAND's reduce side: NFAs stay serialized until their pivot `k` is mined. */
+  private[repro] def dCandMine(k: Int, nfas: IndexedSeq[(NfaSerializer.Bytes, Long)], sigma: Long) =
+    NfaMiner.mine(nfas.map { case (b, w) => (NfaSerializer.deserialize(b), w) }, sigma, k).iterator
+
+  /** Item-based partitioning (Alg. 1) for D-SEQ, D-CAND and LASH-lite: one shuffle sends the
+    * `(k, value)` `records` of pivot `k` to partition `k mod defaultParallelism`, `aggregate`
+    * merging identical ones into weights, and each reduce partition `mine`s its pivots in turn.
+    * `V`'s `ClassTag` lets Spark pick Kryo for records of primitives and primitive arrays.
+    */
+  private[repro] def minePivots[V: ClassTag](sequences: RDD[Array[Int]], aggregate: Boolean)(
+      records: Array[Int] => Iterator[(Int, V)])(
+      mine: (Int, IndexedSeq[(V, Long)]) => Iterator[(Pattern, Long)]): RDD[(Pattern, Long)] = {
+    val byPivot = new PivotPartitioner(sequences.sparkContext.defaultParallelism)
+    val perSeq = sequences.flatMap(records)
     val weighted =
-      if (aggregate) perSeq.reduceByKey(byPivot, _ + _)
-      else perSeq.partitionBy(byPivot) // identical NFAs stay separate — the "no agg" ablation
-    weighted.mapPartitions { records =>
-      val byK = mutable.HashMap.empty[Int, mutable.ArrayBuffer[(NfaSerializer.Bytes, Long)]]
-      for (((k, bytes), w) <- records)
-        byK.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += ((bytes, w))
-      // NFAs stay serialized until their pivot is mined.
-      byK.iterator.flatMap { case (k, nfas) =>
-        NfaMiner.mine(
-          nfas.iterator.map { case (b, w) => (NfaSerializer.deserialize(b), w) }.toIndexedSeq,
-          sigma, k)
-      }
+      if (aggregate) perSeq.map((_, 1L)).reduceByKey(byPivot, _ + _)
+      else perSeq.partitionBy(byPivot).map((_, 1L))
+    weighted.mapPartitions { recs =>
+      val byK = mutable.HashMap.empty[Int, mutable.Builder[(V, Long), Vector[(V, Long)]]]
+      for (((k, v), w) <- recs) byK.getOrElseUpdate(k, Vector.newBuilder) += ((v, w))
+      byK.iterator.flatMap { case (k, vs) => mine(k, vs.result()) }
     }
   }
 
-  /** Places a `(pivot, nfa)` key by its pivot alone, as a `HashPartitioner`
-    * over the pivot would, so that all NFAs of one pivot meet in one reduce
-    * partition while identical NFAs are still merged by the whole key.
-    */
+  /** Places a `k` or `(k, value)` key by `k` alone, so identical records merge by their whole key. */
   private final class PivotPartitioner(val numPartitions: Int) extends Partitioner {
-    def getPartition(key: Any): Int = key match {
-      case (k: Int, _) => java.lang.Math.floorMod(k, numPartitions)
-    }
+    def getPartition(key: Any): Int = java.lang.Math.floorMod(key match {
+      case (k: Int, _) => k
+      case k: Int      => k
+    }, numPartitions)
   }
 
   /** NAIVE (Sec. III-A): subsequence-based partitioning — generate every

@@ -2,20 +2,17 @@ package repro
 
 import org.apache.spark.SparkContext
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Drivers, Pattern}
 import repro.dict.Dictionary
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every Spark test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM. Broadcast joins are disabled so that the DataFrame
+  * oracle comparisons join through a shuffle.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
   def sc: SparkContext = spark.sparkContext
 
@@ -28,8 +25,6 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   def dCand(db: Seq[Array[Int]], dict: Dictionary, patex: String, sigma: Long,
             aggregate: Boolean = true, minimizeNfas: Boolean = true): Map[Pattern, Long] =
     Drivers.dCand(sc, sc.parallelize(db, 4), dict, patex, sigma, aggregate, minimizeNfas).collect().toMap
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {

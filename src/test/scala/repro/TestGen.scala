@@ -1,13 +1,16 @@
 package repro
 
+import org.scalacheck.Gen
+import repro.core.Pattern
 import repro.dict.Dictionary
 import repro.fst.{Fst, FstSimulator}
 
 import java.util.Random
 import scala.collection.mutable
 
-/** Shared test helpers: a toy hierarchy, seeded random databases, a local
-  * f-list/encode pipeline (no Spark needed) and brute-force pivots.
+/** Shared test helpers: the toy hierarchy and random ones, seeded random
+  * databases, brute-force pivots, and Spark-free versions of the
+  * f-list/encode pipeline and of the pivot-partitioned dataflow.
   */
 object TestGen {
 
@@ -22,6 +25,29 @@ object TestGen {
   )
 
   val leaves: IndexedSeq[String] = (0 to 9).map(i => s"l$i")
+
+  private val mids = Seq("m0", "m1", "m2")
+
+  /** The toy hierarchy's names with random edges: each leaf has one or two
+    * mids as parents, and a mid may also generalize to a lower-numbered mid.
+    */
+  val hierarchy: Gen[Map[String, Seq[String]]] = for {
+    leafParents <- Gen.listOfN(leaves.size, Gen.choose(1, 2).flatMap(Gen.pick(_, mids)))
+    m1Up <- Gen.oneOf(Seq("top"), Seq("top", "m0"))
+    m2Up <- Gen.oneOf(Seq("top"), Seq("m0"), Seq("m1", "top"))
+  } yield leaves.zip(leafParents.map(_.toSeq)).toMap ++
+    Map("m0" -> Seq("top"), "m1" -> m1Up, "m2" -> m2Up)
+
+  /** The toy hierarchy's names as a random forest: each leaf has one mid as
+    * parent, and each mid has `top`, a lower-numbered mid or no parent.
+    */
+  val forest: Gen[Map[String, Seq[String]]] = for {
+    leafParents <- Gen.listOfN(leaves.size, Gen.oneOf(mids))
+    m0Up <- Gen.oneOf(Seq("top"), Nil)
+    m1Up <- Gen.oneOf(Seq("top"), Seq("m0"), Nil)
+    m2Up <- Gen.oneOf(Seq("top"), Seq("m0"), Seq("m1"), Nil)
+  } yield leaves.zip(leafParents.map(Seq(_))).toMap ++
+    Map("m0" -> m0Up, "m1" -> m1Up, "m2" -> m2Up)
 
   /** Random database over the toy leaves; skewed item choice. */
   def randomDb(seed: Long, nSeqs: Int = 30, maxLen: Int = 10): Seq[Array[String]] = {
@@ -49,6 +75,19 @@ object TestGen {
     for (t <- db; w <- t.iterator.flatMap(anc).toSet[String]) freqs(w) += 1L
     val dict = Dictionary.build(parents, freqs.toMap)
     (dict, db.toIndexedSeq.map(_.map(dict.fid)))
+  }
+
+  /** `Drivers.minePivots` as plain collection operations: `records` maps each
+    * sequence of `db` to `(pivot, value)` records, `aggregate` merges
+    * identical ones into weights, and `mine` mines each pivot's values.
+    */
+  def minePivotsLocally[V](db: Seq[Array[Int]], aggregate: Boolean)(
+      records: Array[Int] => Iterator[(Int, V)])(
+      mine: (Int, IndexedSeq[(V, Long)]) => Iterator[(Pattern, Long)]): Map[Pattern, Long] = {
+    val perSeq = db.flatMap(records)
+    val weighted = if (aggregate) perSeq.groupMapReduce(identity)(_ => 1L)(_ + _).toSeq else perSeq.map((_, 1L))
+    weighted.groupMap(_._1._1) { case ((_, v), w) => (v, w) }
+      .flatMap { case (k, vs) => mine(k, vs.toIndexedSeq) }
   }
 
   /** The battery of pattern expressions exercised in randomized tests. */

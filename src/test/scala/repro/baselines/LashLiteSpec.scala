@@ -69,4 +69,17 @@ class LashLiteSpec extends SparkSpec {
     // after it.
     assert(names == Map("a b" -> 2L, "a c" -> 2L, "b c" -> 2L, "a b c" -> 2L))
   }
+
+  test("an entry (λ − |prefix|)·(γ + 1) positions before the pivot still reaches it") {
+    // At σ = 2 the fillers x and y are blanks. In pivot k's partition, "a b k"
+    // needs a at position 0 with k at 4 = (3 − 1)·(1 + 1), and b at 2 with k
+    // at 4 = (3 − 2)·(1 + 1): both sit exactly at the reach bound.
+    val (d, db) = TestGen.encodeLocal(
+      Seq("a x1 b y1 k", "a x2 b y2 k", "a b").map(_.split(' ')), Map.empty)
+    val rdd = spark.sparkContext.parallelize(db, 2)
+    val res = LashLite.mine(spark.sparkContext, rdd, d, 2, gamma = 1, lambda = 3)
+      .collect().toMap
+    val names = res.map { case (p, f) => p.items.map(d.name).mkString(" ") -> f }
+    assert(names == Map("a b" -> 3L, "b k" -> 2L, "a b k" -> 2L))
+  }
 }

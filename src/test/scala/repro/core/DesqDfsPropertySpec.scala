@@ -20,18 +20,6 @@ class DesqDfsPropertySpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
-  private val mids = Seq("m0", "m1", "m2")
-
-  /** The toy hierarchy's names with random edges: each leaf has one or two
-    * mids as parents, and a mid may also generalize to a lower-numbered mid.
-    */
-  private val hierarchy: Gen[Map[String, Seq[String]]] = for {
-    leafParents <- Gen.listOfN(TestGen.leaves.size, Gen.choose(1, 2).flatMap(Gen.pick(_, mids)))
-    m1Up <- Gen.oneOf(Seq("top"), Seq("top", "m0"))
-    m2Up <- Gen.oneOf(Seq("top"), Seq("m0"), Seq("m1", "top"))
-  } yield TestGen.leaves.zip(leafParents.map(_.toSeq)).toMap ++
-    Map("m0" -> Seq("top"), "m1" -> m1Up, "m2" -> m2Up)
-
   /** Up to 10 sequences of 1–7 leaves, each with a weight of 1–3. */
   private val weightedDb: Gen[Seq[(Array[String], Long)]] =
     Gen.choose(1, 10).flatMap(n => Gen.listOfN(n, Gen.zip(
@@ -40,7 +28,7 @@ class DesqDfsPropertySpec extends AnyFunSuite {
 
   test("pivot-k mining with and without pruning == brute force restricted to pivot k") {
     var nonEmptyPartitions = 0
-    val input = Gen.zip(Gen.oneOf(TestGen.patterns.map(_._2)), hierarchy, weightedDb, Gen.oneOf(1L, 2L, 4L))
+    val input = Gen.zip(Gen.oneOf(TestGen.patterns.map(_._2)), TestGen.hierarchy, weightedDb, Gen.oneOf(1L, 2L, 4L))
     check(Prop.forAllNoShrink(input) { case (patex, parents, wdb, sigma) =>
       // Encode the expanded database, so item frequencies count weights.
       val (dict, expanded) = TestGen.encodeLocal(wdb.flatMap { case (t, w) => Seq.fill(w.toInt)(t) }, parents)
@@ -65,7 +53,7 @@ class DesqDfsPropertySpec extends AnyFunSuite {
     var kCells = 0
     var seenOnlyCells = 0
     var cappedCells = 0
-    val input = Gen.zip(Gen.oneOf(TestGen.patterns.map(_._2)), hierarchy, weightedDb, Gen.oneOf(1L, 2L, 4L))
+    val input = Gen.zip(Gen.oneOf(TestGen.patterns.map(_._2)), TestGen.hierarchy, weightedDb, Gen.oneOf(1L, 2L, 4L))
     check(Prop.forAllNoShrink(input) { case (patex, parents, wdb, sigma) =>
       val (dict, db) = TestGen.encodeLocal(wdb.map(_._1), parents)
       val fst = FstCompiler.compile(patex, dict)
@@ -138,7 +126,7 @@ class DesqDfsPropertySpec extends AnyFunSuite {
   test("step table rows equal byState(q).filter(matches) with the same outputs") {
     val input = for {
       patex <- Gen.oneOf(TestGen.patterns.map(_._2))
-      parents <- hierarchy
+      parents <- TestGen.hierarchy
       probes <- Gen.listOfN(20, Gen.zip(Gen.choose(0, 1 << 20), Gen.choose(1, 1 << 20)))
     } yield (patex, parents, probes)
     check(Prop.forAllNoShrink(input) { case (patex, parents, probes) =>

@@ -2,7 +2,9 @@ package repro.core
 
 import org.apache.spark.ShuffleDependency
 import org.apache.spark.rdd.RDD
+import org.apache.spark.serializer.KryoSerializer
 import repro.{Ex, SparkSpec, TestGen}
+import repro.baselines.LashLite
 import repro.Ex._
 
 /** The Spark drivers (Alg. 1 dataflows) against brute force and each other.
@@ -80,28 +82,43 @@ class DriversSpec extends SparkSpec {
     assert(dCand(copies, d2, patex, sigma, aggregate = false) == want)
   }
 
+  private def shuffleDeps(rdd: RDD[_]): Seq[ShuffleDependency[_, _, _]] = rdd.dependencies.flatMap {
+    case s: ShuffleDependency[_, _, _] => s +: shuffleDeps(s.rdd)
+    case n                             => shuffleDeps(n.rdd)
+  }
+
   test("every driver runs exactly one shuffle round") {
-    def shuffles(rdd: RDD[_]): Int = rdd.dependencies.map {
-      case s: ShuffleDependency[_, _, _] => 1 + shuffles(s.rdd)
-      case n                             => shuffles(n.rdd)
-    }.sum
     val in = sc.parallelize(db, 4)
     val drivers = Seq(
       "dseq" -> Drivers.dSeq(sc, in, dict, piEx, 2),
       "dcand" -> Drivers.dCand(sc, in, dict, piEx, 2),
       "dcand without aggregation" -> Drivers.dCand(sc, in, dict, piEx, 2, aggregate = false),
+      "lash-lite" -> LashLite.mine(sc, in, dict, 2, gamma = 1, lambda = 3),
       "naive" -> Drivers.naive(sc, in, dict, piEx, 2),
       "seminaive" -> Drivers.semiNaive(sc, in, dict, piEx, 2))
-    for ((name, rdd) <- drivers) assert(shuffles(rdd) == 1, name)
+    for ((name, rdd) <- drivers) assert(shuffleDeps(rdd).size == 1, name)
+  }
+
+  test("D-SEQ and LASH-lite shuffle their pivot records with Kryo") {
+    // Spark picks Kryo only for records of primitives and primitive arrays
+    // whose ClassTags it sees; a wrapped or erased record ships with Java
+    // serialization and grows the shuffle.
+    val in = sc.parallelize(db, 4)
+    for ((name, rdd) <- Seq("dseq" -> Drivers.dSeq(sc, in, dict, piEx, 2),
+                            "lash-lite" -> LashLite.mine(sc, in, dict, 2, gamma = 1, lambda = 3)))
+      assert(shuffleDeps(rdd).map(_.serializer).collect { case k: KryoSerializer => k }.size == 1, name)
   }
 
   test("each frequent subsequence is emitted exactly once (no duplicate keys)") {
     val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(65, nSeqs = 50), TestGen.toyParents)
-    for (algo <- Seq("dseq", "dcand")) {
-      val rdd = sc.parallelize(dbr, 4)
-      val res = (if (algo == "dseq") Drivers.dSeq(sc, rdd, d, "(.^)[.{0,2}(.^)]{1,2}", 3)
-                 else Drivers.dCand(sc, rdd, d, "(.^)[.{0,2}(.^)]{1,2}", 3)).collect()
-      assert(res.length == res.map(_._1).distinct.length, algo)
+    val rdd = sc.parallelize(dbr, 4)
+    val patex = "(.^)[.{0,2}(.^)]{1,2}"
+    for ((algo, res) <- Seq("dseq" -> Drivers.dSeq(sc, rdd, d, patex, 3),
+                            "dcand" -> Drivers.dCand(sc, rdd, d, patex, 3),
+                            "lash-lite" -> LashLite.mine(sc, rdd, d, 3, gamma = 2, lambda = 3))) {
+      val out = res.collect()
+      assert(out.length == out.map(_._1).distinct.length, algo)
+      assert(out.nonEmpty, algo)
     }
   }
 

@@ -4,13 +4,16 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGen
+import repro.baselines.LashLite
+import repro.eval.Constraints
 import repro.fst.{BlowUpException, FstCompiler}
 import repro.patex.{PatEx, PatExPrinter}
 import repro.patex.PatEx._
 
-/** The reduce-side miners against brute force on generated pattern
-  * expressions, not only on the fixed battery, run locally: the map side and
-  * shuffle of each dataflow are written out as plain collection operations.
+/** The item-partitioned miners against brute force on generated constraints
+  * and hierarchies, not only on the fixed battery. Each dataflow runs its
+  * drivers' map and per-pivot functions through
+  * [[TestGen.minePivotsLocally]], without Spark.
   */
 class GeneratedConstraintSpec extends AnyFunSuite {
 
@@ -40,35 +43,51 @@ class GeneratedConstraintSpec extends AnyFunSuite {
   test("DESQ-DFS, D-SEQ's partitions and D-CAND's NFAs == brute force on generated constraints") {
     var cases = 0
     var nonEmpty = 0
-    val input = Gen.zip(patex(3).map(PatExPrinter.print), Gen.choose(0L, 1L << 20), Gen.oneOf(1L, 2L, 3L))
+    val input = Gen.zip(patex(3).map(PatExPrinter.print), Gen.choose(0L, 1L << 20), Gen.oneOf(1L, 2L, 3L),
+                        Gen.oneOf(Gen.const(TestGen.toyParents), TestGen.hierarchy))
     val params = Test.Parameters.default.withMinSuccessfulTests(600).withMaxDiscardRatio(1)
       .withInitialSeed(Seed(20191011L))
-    val res = Test.check(params, Prop.forAllNoShrink(input) { case (p, seed, sigma) =>
-      val (dict, db) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 10, maxLen = 7), TestGen.toyParents)
+    val res = Test.check(params, Prop.forAllNoShrink(input) { case (p, seed, sigma, parents) =>
+      val (dict, db) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 10, maxLen = 7), parents)
       val fst = FstCompiler.compile(p, dict)
       val maxFid = dict.maxFrequentFid(sigma)
       val want = try Some(BruteForce.mine(db, fst, sigma, dict)) catch { case _: BlowUpException => None }
       Prop(want.isDefined) ==> {
         val dfs = DesqDfs.mine(db.map((_, 1L)), fst, dict, sigma, maxFid)
-        val dSeq = db.flatMap { t =>
-          val g = PivotSearch.grid(t, fst, dict, maxFid)
-          g.pivots.map(k => k -> PivotSearch.rewrite(t, g, k))
-        }.groupMap(_._1)(_._2).flatMap { case (k, ts) =>
-          DesqDfs.mine(ts.map((_, 1L)), fst, dict, sigma, maxFid, Some(k))
-        }
-        val dCand = db.flatMap(Nfa.buildForSequence(_, fst, dict, maxFid))
-          .groupMapReduce { case (k, nfa) => (k, NfaSerializer.serialize(nfa)) }(_ => 1L)(_ + _)
-          .groupBy(_._1._1).flatMap { case (k, nfas) =>
-            NfaMiner.mine(nfas.toIndexedSeq.map { case ((_, b), w) => (NfaSerializer.deserialize(b), w) }, sigma, k)
-          }
+        val dSeq = TestGen.minePivotsLocally(db, aggregate = false)(
+          Drivers.dSeqRecords(_, fst, dict, maxFid, rewrite = true))(
+          (k, ts) => DesqDfs.mine(ts, fst, dict, sigma, maxFid, Some(k)).iterator)
+        val dCand = TestGen.minePivotsLocally(db, aggregate = true)(
+          Drivers.dCandRecords(_, fst, dict, maxFid, maxNodes = 1 << 20, minimize = true))(
+          Drivers.dCandMine(_, _, sigma))
         cases += 1
         if (want.get.nonEmpty) nonEmpty += 1
         Prop(dfs == want.get && dSeq == want.get && dCand == want.get) :|
-          s"'$p' σ=$sigma seed=$seed: brute force ${want.get.size}, DESQ-DFS ${dfs.size}, " +
-            s"D-SEQ ${dSeq.size}, D-CAND ${dCand.size} patterns"
+          s"'$p' σ=$sigma seed=$seed hierarchy=$parents: brute force ${want.get.size}, " +
+            s"DESQ-DFS ${dfs.size}, D-SEQ ${dSeq.size}, D-CAND ${dCand.size} patterns"
       }
     })
     assert(res.passed, res.status.toString)
     assert(nonEmpty >= 200, s"only $nonEmpty of $cases generated cases have frequent patterns")
+  }
+
+  test("LASH-lite's partitions == brute force on T3 over random forests") {
+    var nonEmpty = 0
+    val input = Gen.zip(TestGen.forest, Gen.choose(0L, 1L << 20), Gen.oneOf(1L, 2L, 3L),
+                        Gen.choose(0, 2), Gen.choose(2, 4))
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(20150531L))
+    val res = Test.check(params, Prop.forAllNoShrink(input) { case (parents, seed, sigma, gamma, lambda) =>
+      val (dict, db) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 10, maxLen = 7), parents)
+      val want = BruteForce.mine(db, Constraints.t3(sigma, gamma, lambda).patex, sigma, dict)
+        .filter(_._1.length >= 2)
+      val lash = TestGen.minePivotsLocally(db, aggregate = false)(
+        LashLite.records(_, dict, dict.maxFrequentFid(sigma), gamma))(
+        LashLite.minePivot(_, _, dict, sigma, gamma, lambda))
+      if (want.nonEmpty) nonEmpty += 1
+      Prop(lash == want) :| s"T3($sigma,$gamma,$lambda) seed=$seed hierarchy=$parents: " +
+        s"brute force ${want.size}, LASH-lite ${lash.size} patterns"
+    })
+    assert(res.passed, res.status.toString)
+    assert(nonEmpty >= 150, s"only $nonEmpty of 300 generated cases have frequent patterns")
   }
 }
