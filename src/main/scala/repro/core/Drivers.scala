@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.{Partitioner, SparkContext}
 import org.apache.spark.rdd.RDD
+import org.apache.spark.serializer.KryoSerializer
 import repro.dict.Dictionary
 import repro.fst.{Fst, FstCompiler, FstSimulator}
 
@@ -89,7 +90,7 @@ object Drivers {
   /** Item-based partitioning (Alg. 1) for D-SEQ, D-CAND and LASH-lite: one shuffle sends the
     * `(k, value)` `records` of pivot `k` to partition `k mod defaultParallelism`, `aggregate`
     * merging identical ones into weights, and each reduce partition `mine`s its pivots in turn.
-    * `V`'s `ClassTag` lets Spark pick Kryo for records of primitives and primitive arrays.
+    * Records ship with Kryo: via `V`'s `ClassTag` (primitives and their arrays), or set if aggregating.
     */
   private[repro] def minePivots[V: ClassTag](sequences: RDD[Array[Int]], aggregate: Boolean)(
       records: Array[Int] => Iterator[(Int, V)])(
@@ -97,7 +98,8 @@ object Drivers {
     val byPivot = new PivotPartitioner(sequences.sparkContext.defaultParallelism)
     val perSeq = sequences.flatMap(records)
     val weighted =
-      if (aggregate) perSeq.map((_, 1L)).reduceByKey(byPivot, _ + _)
+      if (aggregate) perSeq.map((_, 1L)).combineByKeyWithClassTag[Long](w => w, _ + _, _ + _, byPivot,
+        serializer = new KryoSerializer(sequences.sparkContext.getConf))
       else perSeq.partitionBy(byPivot).map((_, 1L))
     weighted.mapPartitions { recs =>
       val byK = mutable.HashMap.empty[Int, mutable.Builder[(V, Long), Vector[(V, Long)]]]

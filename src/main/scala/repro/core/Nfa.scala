@@ -12,123 +12,73 @@ import repro.fst.FstSimulator.{End, LeadsToLabel, Live}
   * output set (sorted fid array): following it consumes one output item chosen
   * from the set. The NFA accepts a candidate iff some path from the root to a
   * final state spells it.
+  *
+  * State `q`'s edges are `labelId, target` pairs in `edges(q)`; `labels(id)` is
+  * label `id`'s item set, and distinct ids name distinct sets.
   */
 final class Nfa(
     val isFinal: Array[Boolean],
-    val edges: Array[Array[(Array[Int], Int)]] // per state: (label set, target)
+    val edges: Array[Array[Int]],
+    val labels: Array[Array[Int]]
 ) extends Serializable {
   def numStates: Int = isFinal.length
-  def numEdges: Int = edges.iterator.map(_.length).sum
+  def numEdges: Int = edges.iterator.map(_.length).sum / 2
 }
 
 object Nfa {
 
   /** Revuz-style minimization of an acyclic NFA (the trie): merge states with
     * identical (finality, outgoing transition set) bottom-up, children first,
-    * so equivalent suffixes collapse. Linear in the trie size up to the sort
-    * of each state's edges. The result accepts exactly the same language.
+    * so equivalent suffixes collapse. Linear in the NFA's size up to the sort
+    * of each state's edges. The result accepts exactly the same language;
+    * states unreachable from the root are dropped.
     *
-    * A state's signature is its finality plus the sorted, distinct
-    * `labelId << 32 | canon(target)` of its edges, hash-consed in the same
-    * [[SignatureTable]] that [[buildForSequence]] fills while it builds. The
-    * canonical state of a class is its first state in post-order. Surviving
-    * states are renumbered root first, then ascending; each keeps its edge
-    * order, with repeats dropped.
+    * One DFS from the root, children in edge order, classifies each state as
+    * it returns from it: its signature is its finality plus the sorted,
+    * distinct `labelId << 32 | class` of its edges, hash-consed in the same
+    * [[SignatureTable]] that [[buildForSequence]] fills while it builds. Class
+    * `c` is state `c + 1` and the root's class (the last) is state 0; a class
+    * keeps the edge order of its first state, with repeats dropped.
     */
   def minimize(nfa: Nfa): Nfa = {
-    val n = nfa.numStates
-    val labels = new LabelInterner
-    val labelIds = nfa.edges.map(_.map { case (l, _) => labels.intern(l, 0, l.length) })
-    val canon = new Array[Int](n)
-    val distinctEdges = new Array[Int](n)
     val table = new SignatureTable
-    val firstOfClass = new Array[Int](n)
-    val keys = new Array[Long](if (n == 0) 0 else nfa.edges.iterator.map(_.length).max)
-    for (q <- postOrder(nfa)) {
+    val classOf = Array.fill(nfa.numStates)(-1)
+    val keys = new Array[Long](nfa.edges.iterator.map(_.length).max / 2)
+    val isFinal = new Array[Boolean](nfa.numStates)
+    val edges = new Array[Array[Int]](nfa.numStates)
+
+    def visit(q: Int): Int = {
       val es = nfa.edges(q)
-      var j = 0
-      while (j < es.length) {
-        keys(j) = labelIds(q)(j).toLong << 32 | canon(es(j)._2)
-        j += 1
-      }
-      java.util.Arrays.sort(keys, 0, es.length)
+      var j = 1
+      while (j < es.length) { if (classOf(es(j)) < 0) classOf(es(j)) = visit(es(j)); j += 2 }
+      val degree = es.length / 2
+      j = 0
+      while (j < degree) { keys(j) = es(2 * j).toLong << 32 | classOf(es(2 * j + 1)); j += 1 }
+      java.util.Arrays.sort(keys, 0, degree)
       var d = 0
       j = 0
-      while (j < es.length) {
-        if (d == 0 || keys(j) != keys(d - 1)) { keys(d) = keys(j); d += 1 }
-        j += 1
-      }
-      distinctEdges(q) = d
+      while (j < degree) { if (d == 0 || keys(j) != keys(d - 1)) { keys(d) = keys(j); d += 1 }; j += 1 }
       val size = table.size
       val c = table.classOf(nfa.isFinal(q), keys, d)
-      if (c == size) firstOfClass(c) = q
-      canon(q) = firstOfClass(c)
-    }
-    // Renumber surviving states; root first.
-    val newId = Array.fill(n)(-1)
-    var size = 0
-    if (n > 0) { newId(canon(0)) = 0; size = 1 }
-    for (q <- 0 until n if canon(q) == q && newId(q) < 0) { newId(q) = size; size += 1 }
-    val isFinal = new Array[Boolean](size)
-    val edges = new Array[Array[(Array[Int], Int)]](size)
-    for (q <- 0 until n if canon(q) == q) {
-      val es = nfa.edges(q)
-      val hasRepeats = distinctEdges(q) < es.length
-      val out = new Array[(Array[Int], Int)](distinctEdges(q))
-      val kept = new Array[Long](distinctEdges(q))
-      var d = 0
-      var j = 0
-      while (j < es.length) {
-        val t = newId(canon(es(j)._2))
-        val key = labelIds(q)(j).toLong << 32 | t
-        if (!hasRepeats || !kept.iterator.take(d).contains(key)) {
-          out(d) = (labels(labelIds(q)(j)), t)
-          kept(d) = key
-          d += 1
+      if (c == size) { // a new class: q represents it
+        val out = new Array[Int](2 * d)
+        var o = 0
+        j = 0
+        while (j < es.length) {
+          val t = classOf(es(j + 1)) + 1
+          var x = if (d < degree) 0 else o // look for a repeat only if there is one
+          while (x < o && (out(x) != es(j) || out(x + 1) != t)) x += 2
+          if (x == o) { out(o) = es(j); out(o + 1) = t; o += 2 }
+          j += 2
         }
-        j += 1
+        isFinal(if (q == 0) 0 else c + 1) = nfa.isFinal(q)
+        edges(if (q == 0) 0 else c + 1) = out
       }
-      isFinal(newId(q)) = nfa.isFinal(q)
-      edges(newId(q)) = out
+      c
     }
-    new Nfa(isFinal, edges)
-  }
 
-  /** States in DFS post-order (children before parents, edges in order),
-    * from the root first, then from every state not yet reached.
-    */
-  private def postOrder(nfa: Nfa): Array[Int] = {
-    val n = nfa.numStates
-    val mark = new Array[Byte](n) // 0 = new, 1 = on the stack, 2 = done
-    val nextEdge = new Array[Int](n)
-    val stack = new Array[Int](n)
-    val out = new Array[Int](n)
-    var size = 0
-    var start = -1
-    while (start < n) {
-      val s = if (start < 0) 0 else start
-      if (n > 0 && mark(s) == 0) {
-        var top = 0
-        stack(0) = s
-        mark(s) = 1
-        while (top >= 0) {
-          val q = stack(top)
-          val es = nfa.edges(q)
-          if (nextEdge(q) < es.length) {
-            val t = es(nextEdge(q))._2
-            nextEdge(q) += 1
-            if (mark(t) == 0) { mark(t) = 1; top += 1; stack(top) = t }
-          } else {
-            mark(q) = 2
-            out(size) = q
-            size += 1
-            top -= 1
-          }
-        }
-      }
-      start += 1
-    }
-    out
+    visit(0)
+    new Nfa(java.util.Arrays.copyOf(isFinal, table.size), java.util.Arrays.copyOf(edges, table.size), nfa.labels)
   }
 
   /** Build the per-pivot NFAs for input sequence `t` (Sec. VI-A): for each
@@ -259,7 +209,7 @@ object Nfa {
     // The NFA being emitted: one state per class.
     private var classes = 0
     private var isFinal = new Array[Boolean](16)
-    private var edges = new Array[Array[(Array[Int], Int)]](16)
+    private var edges = new Array[Array[Int]](16)
 
     /** The current pivot's NFA: state 0 is the root; any other class `c`,
       * numbered in post-order, is state `c + 1` (the root's class is last).
@@ -271,7 +221,7 @@ object Nfa {
       pairNext(0) = -1
       pairs = 1
       visit(0, isRoot = true)
-      new Nfa(java.util.Arrays.copyOf(isFinal, classes), java.util.Arrays.copyOf(edges, classes))
+      new Nfa(java.util.Arrays.copyOf(isFinal, classes), java.util.Arrays.copyOf(edges, classes), labels.table)
     }
 
     /** Expands the node whose state list starts at pair `head`, visits its
@@ -318,10 +268,11 @@ object Nfa {
           isFinal = java.util.Arrays.copyOf(isFinal, 2 * classes)
           edges = java.util.Arrays.copyOf(edges, 2 * classes)
         }
-        val out = new Array[(Array[Int], Int)](degree)
+        val out = new Array[Int](2 * degree)
         x = 0
         while (x < degree) {
-          out(x) = (labels(childLabel(first + x)), childClass(first + x) + 1)
+          out(2 * x) = childLabel(first + x)
+          out(2 * x + 1) = childClass(first + x) + 1
           x += 1
         }
         val id = if (isRoot) 0 else cls + 1

@@ -21,13 +21,14 @@ object NfaMiner {
         var i = 0
         while (i < db.length) {
           val nfa = db(i) >>> 32
-          val es = automata(nfa.toInt).edges(db(i).toInt)
+          val a = automata(nfa.toInt)
+          val es = a.edges(db(i).toInt)
           var j = 0
           while (j < es.length) {
-            val (label, t) = es(j)
+            val label = a.labels(es(j))
             var x = 0
-            while (x < label.length) { add(label(x), nfa << 32 | t); x += 1 }
-            j += 1
+            while (x < label.length) { add(label(x), nfa << 32 | es(j + 1)); x += 1 }
+            j += 2
           }
           i += 1
         }

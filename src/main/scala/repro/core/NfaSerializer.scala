@@ -40,7 +40,12 @@ object NfaSerializer {
 
     def dfs(q: Int): Unit = {
       val qid = visitId(q)
-      for ((label, t) <- nfa.edges(q)) {
+      val es = nfa.edges(q)
+      var j = 0
+      while (j < es.length) {
+        val label = nfa.labels(es(j))
+        val t = es(j + 1)
+        j += 2
         if (cursor != qid) { tokens += TagSrc; tokens += qid }
         tokens += TagLabel
         tokens += label.length
@@ -65,15 +70,17 @@ object NfaSerializer {
     new Bytes(varints(tokens.result()))
   }
 
+  /** The NFA of `b`; labels are interned on decode, so equal sets share an id. */
   def deserialize(b: Bytes): Nfa = {
     val tokens = unvarints(b.bytes)
+    val labels = new LabelInterner
     val finals = mutable.ArrayBuffer(false) // state 0 = root, never final here
-    val edges = mutable.ArrayBuffer(mutable.ArrayBuffer.empty[(Array[Int], Int)])
+    val edges = mutable.ArrayBuffer(new mutable.ArrayBuilder.ofInt)
     var cursor = 0
     var i = 0
     def newState(isFinal: Boolean): Int = {
       finals += isFinal
-      edges += mutable.ArrayBuffer.empty[(Array[Int], Int)]
+      edges += new mutable.ArrayBuilder.ofInt
       finals.length - 1
     }
     while (i < tokens.length) {
@@ -82,18 +89,17 @@ object NfaSerializer {
       require(tokens(i) == TagLabel, s"expected label token at $i")
       val len = tokens(i + 1)
       i += 2
-      val label = new Array[Int](len)
-      var prev = 0
-      for (j <- 0 until len) { prev += tokens(i + j); label(j) = prev }
+      for (j <- i + 1 until i + len) tokens(j) += tokens(j - 1) // gaps to items, in place
+      val label = labels.intern(tokens, i, i + len)
       i += len
       val tgt =
         if (i < tokens.length && tokens(i) == TagTgt) { val t = tokens(i + 1); i += 2; t }
         else if (i < tokens.length && tokens(i) == TagFinal) { i += 1; newState(true) }
         else newState(false)
-      edges(src) += ((label, tgt))
+      edges(src) += label += tgt
       cursor = tgt
     }
-    new Nfa(finals.toArray, edges.map(_.toArray).toArray)
+    new Nfa(finals.toArray, edges.map(_.result()).toArray, labels.table)
   }
 
   // ------------------------------------------------------------------ varint

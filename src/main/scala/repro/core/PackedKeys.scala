@@ -1,7 +1,7 @@
 package repro.core
 
 /** Interns int slices (NFA edge labels) by content. Ids are dense, from 0, in
-  * first-seen order; `apply(id)` returns the one stored copy of the label.
+  * first-seen order; `table(id)` is the one stored copy of the label.
   */
 private[core] final class LabelInterner {
   private var labels = new Array[Array[Int]](16)
@@ -9,8 +9,8 @@ private[core] final class LabelInterner {
   private var n = 0
   private var slots = Array.fill(32)(-1) // label ids, open addressing by hash
 
-  def size: Int = n
-  def apply(id: Int): Array[Int] = labels(id)
+  /** The labels by id, as an [[Nfa]]'s label table; entries past the last id are null. */
+  def table: Array[Array[Int]] = labels
 
   /** Id of the label `a(from until until)`. */
   def intern(a: Array[Int], from: Int, until: Int): Int = {

@@ -4,13 +4,16 @@ import org.scalacheck.Gen
 import repro.core.Pattern
 import repro.dict.Dictionary
 import repro.fst.{Fst, FstSimulator}
+import repro.patex.PatEx
+import repro.patex.PatEx._
 
 import java.util.Random
 import scala.collection.mutable
 
-/** Shared test helpers: the toy hierarchy and random ones, seeded random
-  * databases, brute-force pivots, and Spark-free versions of the
-  * f-list/encode pipeline and of the pivot-partitioned dataflow.
+/** Shared test helpers: the toy hierarchy and random ones, generated pattern
+  * expressions, seeded random databases, brute-force pivots, and Spark-free
+  * versions of the f-list/encode pipeline and of the pivot-partitioned
+  * dataflow.
   */
 object TestGen {
 
@@ -48,6 +51,28 @@ object TestGen {
     m2Up <- Gen.oneOf(Seq("top"), Seq("m0"), Seq("m1"), Nil)
   } yield leaves.zip(leafParents.map(Seq(_))).toMap ++
     Map("m0" -> m0Up, "m1" -> m1Up, "m2" -> m2Up)
+
+  /** Pattern expressions of depth at most `depth` over the toy names and
+    * `.`: `↑` and `=`, captures, concatenation, alternation, and `?`, `*`,
+    * `+` and `{n,m}` with `m <= 2`.
+    */
+  def patex(depth: Int): Gen[PatEx] = {
+    val leaf = Gen.oneOf(
+      Gen.zip(Gen.oneOf(leaves ++ mids :+ "top"), Gen.oneOf(false, true), Gen.oneOf(false, true))
+        .map((Item.apply _).tupled),
+      Gen.oneOf(false, true).map(Dot(_)))
+    if (depth == 0) leaf
+    else {
+      val sub = patex(depth - 1)
+      Gen.frequency(
+        2 -> leaf,
+        4 -> sub.map(Capture(_)),
+        3 -> Gen.choose(2, 3).flatMap(Gen.listOfN(_, sub)).map(Concat(_)),
+        1 -> Gen.listOfN(2, sub).map(Alt(_)),
+        2 -> Gen.zip(sub, Gen.oneOf((0, 1), (0, Int.MaxValue), (1, Int.MaxValue), (0, 2), (1, 2), (2, 2)))
+          .map { case (e, (min, max)) => Repeat(e, min, max) })
+    }
+  }
 
   /** Random database over the toy leaves; skewed item choice. */
   def randomDb(seed: Long, nSeqs: Int = 30, maxLen: Int = 10): Seq[Array[String]] = {

@@ -67,6 +67,32 @@ class DCandPropertySpec extends SparkSpec {
     }
   }
 
+  test("minimize on the miner's decoded trie equals the builder's minimized NFA") {
+    // `deserialize` numbers states in visit order and interns labels on
+    // decode; minimizing that form must still reach the minimal NFA.
+    def same(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Boolean = {
+      val min = Nfa.buildForSequence(t, fst, dict, maxFid, minimize = true)
+      Nfa.buildForSequence(t, fst, dict, maxFid, minimize = false).forall { case (k, raw) =>
+        val decoded = NfaSerializer.deserialize(NfaSerializer.serialize(raw))
+        NfaSerializer.serialize(Nfa.minimize(decoded)) == NfaSerializer.serialize(min(k))
+      }
+    }
+    for ((name, patex) <- TestGen.patterns) withClue(name) {
+      check(Prop.forAllNoShrink(Gen.choose(0L, 1L << 20), Gen.oneOf(1L, 3L)) { (seed, sigma) =>
+        val (dict, db) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 8, maxLen = 8), TestGen.toyParents)
+        val fst = FstCompiler.compile(patex, dict)
+        db.forall(same(_, fst, dict, dict.maxFrequentFid(sigma)))
+      }, tests = 25)
+    }
+    val nyt = SeqData.encode(SeqData.nytLite(spark, sf = 0.01, seed = 5))
+    val sentences = nyt.sequences.collect()
+    for (c <- Seq(Constraints.t3(5, 1, 5), Constraints.n5(5))) {
+      val fst = FstCompiler.compile(c.patex, nyt.dict)
+      val maxFid = nyt.dict.maxFrequentFid(c.sigma)
+      assert(sentences.forall(same(_, fst, nyt.dict, maxFid)), c.name)
+    }
+  }
+
   test("minimize preserves the trie's language and is idempotent in state count") {
     check(Prop.forAllNoShrink(NfaGen.trieRuns) { runs =>
       val raw = NfaGen.trieOf(runs)
@@ -80,7 +106,9 @@ class DCandPropertySpec extends SparkSpec {
 
   test("minimize preserves the language of acyclic NFAs with overlapping paths") {
     check(Prop.forAllNoShrink(NfaGen.acyclicNfa) { nfa =>
-      NfaGen.language(Nfa.minimize(nfa)) == NfaGen.language(nfa)
+      val min = Nfa.minimize(nfa)
+      NfaGen.language(min) == NfaGen.language(nfa) &&
+        reachable(min) == min.numStates && Nfa.minimize(min).numStates == min.numStates
     })
   }
 
@@ -100,6 +128,14 @@ class DCandPropertySpec extends SparkSpec {
       }
       NfaMiner.mine(nfas, sigma, pivot) == want
     })
+  }
+
+  /** The number of `nfa`'s states reachable from state 0. */
+  private def reachable(nfa: Nfa): Int = {
+    val seen = mutable.Set(0)
+    def rec(q: Int): Unit = for ((_, t) <- NfaGen.edgesOf(nfa, q) if seen.add(t)) rec(t)
+    rec(0)
+    seen.size
   }
 
   /** Every word spelled by picking one item from each set. */

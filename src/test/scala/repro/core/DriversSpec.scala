@@ -3,9 +3,13 @@ package repro.core
 import org.apache.spark.ShuffleDependency
 import org.apache.spark.rdd.RDD
 import org.apache.spark.serializer.KryoSerializer
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import repro.{Ex, SparkSpec, TestGen}
 import repro.baselines.LashLite
 import repro.Ex._
+import repro.fst.BlowUpException
+import repro.patex.PatExPrinter
 
 /** The Spark drivers (Alg. 1 dataflows) against brute force and each other.
   * Each algorithm runs exactly one shuffle round; results must agree exactly.
@@ -107,6 +111,30 @@ class DriversSpec extends SparkSpec {
     for ((name, rdd) <- Seq("dseq" -> Drivers.dSeq(sc, in, dict, piEx, 2),
                             "lash-lite" -> LashLite.mine(sc, in, dict, 2, gamma = 1, lambda = 3)))
       assert(shuffleDeps(rdd).map(_.serializer).collect { case k: KryoSerializer => k }.size == 1, name)
+  }
+
+  test("D-CAND shuffles its aggregated NFA records with Kryo") {
+    val rdd = Drivers.dCand(sc, sc.parallelize(db, 4), dict, piEx, 2)
+    assert(shuffleDeps(rdd).map(_.serializer).collect { case k: KryoSerializer => k }.size == 1)
+  }
+
+  test("dseq, dcand, naive and seminaive == brute force on generated constraints") {
+    var nonEmpty = 0
+    val input = Gen.zip(TestGen.patex(3).map(PatExPrinter.print), Gen.choose(0L, 1L << 20),
+                        Gen.oneOf(1L, 2L, 3L), Gen.oneOf(Gen.const(TestGen.toyParents), TestGen.hierarchy))
+    val params = Test.Parameters.default.withMinSuccessfulTests(40).withMaxDiscardRatio(1)
+      .withInitialSeed(Seed(20190409L))
+    val res = Test.check(params, Prop.forAllNoShrink(input) { case (p, seed, sigma, parents) =>
+      val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 10, maxLen = 7), parents)
+      val want = try Some(BruteForce.mine(dbr, p, sigma, d)) catch { case _: BlowUpException => None }
+      Prop(want.isDefined) ==> {
+        if (want.get.nonEmpty) nonEmpty += 1
+        val wrong = Seq("dseq", "dcand", "naive", "seminaive").filter(run(_, dbr, d, p, sigma) != want.get)
+        Prop(wrong.isEmpty) :| s"'$p' σ=$sigma seed=$seed hierarchy=$parents: ${wrong.mkString(", ")} differ"
+      }
+    })
+    assert(res.passed, res.status.toString)
+    assert(nonEmpty >= 10, s"only $nonEmpty generated cases have frequent patterns")
   }
 
   test("each frequent subsequence is emitted exactly once (no duplicate keys)") {

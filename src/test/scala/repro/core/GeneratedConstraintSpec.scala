@@ -4,11 +4,11 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGen
+import repro.TestGen.patex
 import repro.baselines.LashLite
 import repro.eval.Constraints
 import repro.fst.{BlowUpException, FstCompiler}
-import repro.patex.{PatEx, PatExPrinter}
-import repro.patex.PatEx._
+import repro.patex.PatExPrinter
 
 /** The item-partitioned miners against brute force on generated constraints
   * and hierarchies, not only on the fixed battery. Each dataflow runs its
@@ -16,29 +16,6 @@ import repro.patex.PatEx._
   * [[TestGen.minePivotsLocally]], without Spark.
   */
 class GeneratedConstraintSpec extends AnyFunSuite {
-
-  private val names = TestGen.leaves ++ Seq("m0", "m1", "m2", "top")
-
-  /** Pattern expressions of depth at most `depth` over the toy names and
-    * `.`: `↑` and `=`, captures, concatenation, alternation, and `?`, `*`,
-    * `+` and `{n,m}` with `m <= 2`.
-    */
-  private def patex(depth: Int): Gen[PatEx] = {
-    val leaf = Gen.oneOf(
-      Gen.zip(Gen.oneOf(names), Gen.oneOf(false, true), Gen.oneOf(false, true)).map((Item.apply _).tupled),
-      Gen.oneOf(false, true).map(Dot(_)))
-    if (depth == 0) leaf
-    else {
-      val sub = patex(depth - 1)
-      Gen.frequency(
-        2 -> leaf,
-        4 -> sub.map(Capture(_)),
-        3 -> Gen.choose(2, 3).flatMap(Gen.listOfN(_, sub)).map(Concat(_)),
-        1 -> Gen.listOfN(2, sub).map(Alt(_)),
-        2 -> Gen.zip(sub, Gen.oneOf((0, 1), (0, Int.MaxValue), (1, Int.MaxValue), (0, 2), (1, 2), (2, 2)))
-          .map { case (e, (min, max)) => Repeat(e, min, max) })
-    }
-  }
 
   test("DESQ-DFS, D-SEQ's partitions and D-CAND's NFAs == brute force on generated constraints") {
     var cases = 0

@@ -9,6 +9,18 @@ import scala.collection.mutable
   */
 object NfaGen {
 
+  /** The NFA with per-state `(label set, target)` edges; labels are interned
+    * by content.
+    */
+  def nfa(isFinal: Array[Boolean], edges: Array[Array[(Array[Int], Int)]]): Nfa = {
+    val labels = new LabelInterner
+    new Nfa(isFinal, edges.map(_.flatMap { case (l, t) => Array(labels.intern(l, 0, l.length), t) }), labels.table)
+  }
+
+  /** State `q`'s edges as `(label set, target)`, in order. */
+  def edgesOf(nfa: Nfa, q: Int): Seq[(Seq[Int], Int)] =
+    nfa.edges(q).grouped(2).map(e => (nfa.labels(e(0)).toSeq, e(1))).toSeq
+
   /** The language `nfa` accepts (distinct candidate sequences), enumerated;
     * only for small NFAs.
     */
@@ -17,7 +29,7 @@ object NfaGen {
     def rec(q: Int, acc: List[Int]): Unit = {
       if (out.size > cap) throw new IllegalStateException("language too large")
       if (nfa.isFinal(q)) out += acc.reverse
-      for ((label, t) <- nfa.edges(q); w <- label) rec(t, w :: acc)
+      for ((label, t) <- edgesOf(nfa, q); w <- label) rec(t, w :: acc)
     }
     rec(0, Nil)
     out.toSet
@@ -64,5 +76,5 @@ object NfaGen {
       else Gen.choose(0, 3).flatMap(d =>
         Gen.listOfN(d, Gen.zip(itemSet(5), Gen.choose(q + 1, n - 1))).map(_.toArray))
     })
-  } yield new Nfa(finals.toArray, edges.toArray)
+  } yield nfa(finals.toArray, edges.toArray)
 }

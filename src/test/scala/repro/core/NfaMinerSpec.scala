@@ -30,7 +30,7 @@ class NfaMinerSpec extends SparkSpec {
 
   test("non-pivot sequences are never emitted even if accepted by an NFA") {
     // Hand-built NFA accepting {b, cb}: at partition Pc only cb may be output.
-    val nfa = new Nfa(
+    val nfa = NfaGen.nfa(
       isFinal = Array(false, true, true),
       edges = Array(
         Array((Array(b, c), 1)),  // root --{b,c}--> 1 (final)
@@ -44,7 +44,7 @@ class NfaMinerSpec extends SparkSpec {
 
   test("overlapping paths in one NFA do not double count") {
     // Two root edges both able to spell "b": one NFA still counts b once.
-    val nfa = new Nfa(
+    val nfa = NfaGen.nfa(
       isFinal = Array(false, true, true),
       edges = Array(
         Array((Array(b, c), 1), (Array(b), 2)),

@@ -102,18 +102,19 @@ final class TrieForest(val labels: LabelInterner) {
     var order = new Array[Int](16) // BFS id -> node
     order(0) = root
     var size = 1
-    val edges = mutable.ArrayBuffer.empty[Array[(Array[Int], Int)]]
+    val edges = mutable.ArrayBuffer.empty[Array[Int]]
     var i = 0
     while (i < size) {
       var degree = 0
       var c = firstChild(order(i))
       while (c >= 0) { degree += 1; c = nextSibling(c) }
-      val out = new Array[(Array[Int], Int)](degree)
+      val out = new Array[Int](2 * degree)
       if (size + degree > order.length) order = java.util.Arrays.copyOf(order, 2 * (size + degree))
       c = firstChild(order(i))
       var j = 0
       while (c >= 0) {
-        out(j) = (labels(inLabel(c)), size)
+        out(2 * j) = inLabel(c)
+        out(2 * j + 1) = size
         order(size) = c
         size += 1
         j += 1
@@ -122,7 +123,7 @@ final class TrieForest(val labels: LabelInterner) {
       edges += out
       i += 1
     }
-    new Nfa(Array.tabulate(size)(b => isFinal(order(b))), edges.toArray)
+    new Nfa(Array.tabulate(size)(b => isFinal(order(b))), edges.toArray, labels.table)
   }
 }
 

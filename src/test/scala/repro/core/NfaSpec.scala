@@ -146,8 +146,8 @@ class NfaSpec extends AnyFunSuite {
   test("trie children keep insertion order and states are numbered BFS") {
     val nfa = NfaGen.trieOf(Seq(
       Seq(Array(c), Array(b)), Seq(Array(a1)), Seq(Array(c), Array(A, d))))
-    assert(nfa.edges(0).map { case (l, t) => (l.toSeq, t) }.toSeq == Seq((Seq(c), 1), (Seq(a1), 2)))
-    assert(nfa.edges(1).map { case (l, t) => (l.toSeq, t) }.toSeq == Seq((Seq(b), 3), (Seq(A, d), 4)))
+    assert(NfaGen.edgesOf(nfa, 0) == Seq((Seq(c), 1), (Seq(a1), 2)))
+    assert(NfaGen.edgesOf(nfa, 1) == Seq((Seq(b), 3), (Seq(A, d), 4)))
     assert(nfa.isFinal.toSeq == Seq(false, false, true, true, true))
   }
 
