@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.{Partitioner, SparkContext}
-import org.apache.spark.rdd.RDD
+import org.apache.spark.rdd.{RDD, ShuffledRDD}
 import org.apache.spark.serializer.KryoSerializer
 import repro.dict.Dictionary
 import repro.fst.{Fst, FstCompiler, FstSimulator}
@@ -88,27 +88,52 @@ object Drivers {
     NfaMiner.mine(nfas.map { case (b, w) => (NfaSerializer.deserialize(b), w) }, sigma, k).iterator
 
   /** Item-based partitioning (Alg. 1) for D-SEQ, D-CAND and LASH-lite: one shuffle sends the
-    * `(k, value)` `records` of pivot `k` to partition `k mod defaultParallelism`, `aggregate`
-    * merging identical ones into weights, and each reduce partition `mine`s its pivots in turn.
-    * Records ship with Kryo: via `V`'s `ClassTag` (primitives and their arrays), or set if aggregating.
+    * `(k, value)` `records` of pivot `k` to partition `k mod defaultParallelism`, and each reduce
+    * partition `mine`s its pivots in turn.
+    *
+    * With `aggregate`, identical records merge into weights by one hash pass per map task and
+    * one per reduce partition, each keyed per pivot by the value alone (a [[NfaSerializer.Bytes]]
+    * caches its hash), so no record is sorted or hashed as a tuple. A map task ships one
+    * `((k, value), weight)` record per distinct pair through a plain shuffle with Kryo. Neither
+    * table spills: a map task's holds at most its own distinct records, and a reduce partition
+    * holds its records in memory anyway. Without `aggregate`, records ship with Kryo when `V`'s
+    * `ClassTag` shows primitives or their arrays.
     */
   private[repro] def minePivots[V: ClassTag](sequences: RDD[Array[Int]], aggregate: Boolean)(
       records: Array[Int] => Iterator[(Int, V)])(
       mine: (Int, IndexedSeq[(V, Long)]) => Iterator[(Pattern, Long)]): RDD[(Pattern, Long)] = {
     val byPivot = new PivotPartitioner(sequences.sparkContext.defaultParallelism)
-    val perSeq = sequences.flatMap(records)
-    val weighted =
-      if (aggregate) perSeq.map((_, 1L)).combineByKeyWithClassTag[Long](w => w, _ + _, _ + _, byPivot,
-        serializer = new KryoSerializer(sequences.sparkContext.getConf))
-      else perSeq.partitionBy(byPivot).map((_, 1L))
-    weighted.mapPartitions { recs =>
+    if (aggregate) {
+      val perTask = sequences.mapPartitions { seqs =>
+        val sums = new PivotWeights[V]
+        for (t <- seqs; (k, v) <- records(t)) sums.add(k, v, 1L)
+        sums.byK.iterator.flatMap { case (k, vs) => vs.iterator.map { case (v, w) => ((k, v), w) } }
+      }
+      new ShuffledRDD[(Int, V), Long, Long](perTask, byPivot)
+        .setSerializer(new KryoSerializer(sequences.sparkContext.getConf))
+        .mapPartitions { recs =>
+          val sums = new PivotWeights[V]
+          for (((k, v), w) <- recs) sums.add(k, v, w)
+          sums.byK.iterator.flatMap { case (k, vs) => mine(k, vs.toIndexedSeq) }
+        }
+    } else sequences.flatMap(records).partitionBy(byPivot).mapPartitions { recs =>
       val byK = mutable.HashMap.empty[Int, mutable.Builder[(V, Long), Vector[(V, Long)]]]
-      for (((k, v), w) <- recs) byK.getOrElseUpdate(k, Vector.newBuilder) += ((v, w))
+      for ((k, v) <- recs) byK.getOrElseUpdate(k, Vector.newBuilder) += ((v, 1L))
       byK.iterator.flatMap { case (k, vs) => mine(k, vs.result()) }
     }
   }
 
-  /** Places a `k` or `(k, value)` key by `k` alone, so identical records merge by their whole key. */
+  /** Weights of `(k, value)` records, summed per pivot `k` and value. */
+  private final class PivotWeights[V] {
+    val byK = mutable.HashMap.empty[Int, mutable.HashMap[V, Long]]
+    def add(k: Int, v: V, w: Long): Unit =
+      byK.getOrElseUpdate(k, mutable.HashMap.empty).updateWith(v) {
+        case Some(sum) => Some(sum + w)
+        case None      => Some(w)
+      }
+  }
+
+  /** Places a `k` or `(k, value)` key by `k` alone, so all records of a pivot meet in one partition. */
   private final class PivotPartitioner(val numPartitions: Int) extends Partitioner {
     def getPartition(key: Any): Int = java.lang.Math.floorMod(key match {
       case (k: Int, _) => k

@@ -16,7 +16,7 @@ import scala.collection.mutable
   */
 object NfaSerializer {
 
-  /** Byte-array key with value semantics, usable in `reduceByKey`. */
+  /** Byte-array key with value semantics; its hash is computed once. */
   final class Bytes(val bytes: Array[Byte]) extends Serializable {
     override def equals(o: Any): Boolean = o match {
       case b: Bytes => java.util.Arrays.equals(bytes, b.bytes)
@@ -70,36 +70,63 @@ object NfaSerializer {
     new Bytes(varints(tokens.result()))
   }
 
-  /** The NFA of `b`; labels are interned on decode, so equal sets share an id. */
+  /** The NFA of `b`; labels are interned on decode, so equal sets share an id.
+    *
+    * One pass reads the varints in place and collects each edge as a
+    * `src, labelId, target` triple in stream order; one counting pass then
+    * buckets the triples into each state's exact-size edge array.
+    */
   def deserialize(b: Bytes): Nfa = {
-    val tokens = unvarints(b.bytes)
+    val in = new VarintReader(b.bytes)
     val labels = new LabelInterner
-    val finals = mutable.ArrayBuffer(false) // state 0 = root, never final here
-    val edges = mutable.ArrayBuffer(new mutable.ArrayBuilder.ofInt)
+    val finals = new mutable.ArrayBuilder.ofBoolean
+    finals += false // state 0 = root, never final here
+    var triples = new Array[Int](48)
+    var used = 0
+    var label = new Array[Int](8)
     var cursor = 0
-    var i = 0
-    def newState(isFinal: Boolean): Int = {
-      finals += isFinal
-      edges += new mutable.ArrayBuilder.ofInt
-      finals.length - 1
-    }
-    while (i < tokens.length) {
+    while (in.hasNext) {
       var src = cursor
-      if (tokens(i) == TagSrc) { src = tokens(i + 1); i += 2 }
-      require(tokens(i) == TagLabel, s"expected label token at $i")
-      val len = tokens(i + 1)
-      i += 2
-      for (j <- i + 1 until i + len) tokens(j) += tokens(j - 1) // gaps to items, in place
-      val label = labels.intern(tokens, i, i + len)
-      i += len
+      if (in.peekTag == TagSrc) { in.skipTag(); src = in.next() }
+      require(in.peekTag == TagLabel, s"expected label token at byte ${in.pos}")
+      in.skipTag()
+      val len = in.next()
+      if (len > label.length) label = new Array[Int](math.max(len, 2 * label.length))
+      var prev = 0
+      var j = 0
+      while (j < len) { prev += in.next(); label(j) = prev; j += 1 } // gaps to items
       val tgt =
-        if (i < tokens.length && tokens(i) == TagTgt) { val t = tokens(i + 1); i += 2; t }
-        else if (i < tokens.length && tokens(i) == TagFinal) { i += 1; newState(true) }
-        else newState(false)
-      edges(src) += label += tgt
+        if (in.hasNext && in.peekTag == TagTgt) { in.skipTag(); in.next() }
+        else {
+          val fin = in.hasNext && in.peekTag == TagFinal
+          if (fin) in.skipTag()
+          finals += fin
+          finals.length - 1
+        }
+      if (used + 3 > triples.length) triples = java.util.Arrays.copyOf(triples, 2 * triples.length)
+      triples(used) = src
+      triples(used + 1) = labels.intern(label, 0, len)
+      triples(used + 2) = tgt
+      used += 3
       cursor = tgt
     }
-    new Nfa(finals.toArray, edges.map(_.result()).toArray, labels.table)
+    val numStates = finals.length
+    val fill = new Array[Int](numStates) // per state: edge ints, then the next free slot
+    var i = 0
+    while (i < used) { fill(triples(i)) += 2; i += 3 }
+    val edges = new Array[Array[Int]](numStates)
+    var q = 0
+    while (q < numStates) { edges(q) = new Array[Int](fill(q)); fill(q) = 0; q += 1 }
+    i = 0
+    while (i < used) {
+      val es = edges(triples(i))
+      val f = fill(triples(i))
+      es(f) = triples(i + 1)
+      es(f + 1) = triples(i + 2)
+      fill(triples(i)) = f + 2
+      i += 3
+    }
+    new Nfa(finals.result(), edges, labels.table)
   }
 
   // ------------------------------------------------------------------ varint
@@ -115,19 +142,23 @@ object NfaSerializer {
     out.result()
   }
 
-  private def unvarints(bs: Array[Byte]): Array[Int] = {
-    val out = new mutable.ArrayBuilder.ofInt
-    var i = 0
-    while (i < bs.length) {
-      var x = 0; var shift = 0; var more = true
-      while (more) {
-        val b = bs(i); i += 1
+  /** Reads varint tokens in place. Tags are below 0x80, so a tag is one byte. */
+  private final class VarintReader(bs: Array[Byte]) {
+    var pos = 0
+    def hasNext: Boolean = pos < bs.length
+    def peekTag: Int = bs(pos)
+    def skipTag(): Unit = pos += 1
+    def next(): Int = {
+      var x = 0
+      var shift = 0
+      var b = 0x80
+      while ((b & 0x80) != 0) {
+        b = bs(pos)
+        pos += 1
         x |= (b & 0x7F) << shift
         shift += 7
-        more = (b & 0x80) != 0
       }
-      out += x
+      x
     }
-    out.result()
   }
 }

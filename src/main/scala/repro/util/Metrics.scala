@@ -13,13 +13,14 @@ import scala.collection.mutable
   */
 object Metrics {
 
-  final case class RunMetrics[A](wallMillis: Long, shuffleWriteBytes: Long, result: A)
+  final case class RunMetrics[A](wallMillis: Long, shuffleWriteBytes: Long, shuffleWriteRecords: Long,
+                                 result: A)
 
   private val groups = new AtomicLong
 
   /** Run `action` (which must trigger the job and return its result) in
     * its own job group; report its wall time and the total shuffle write bytes
-    * of the stages that group's jobs ran. Jobs of other groups are not counted.
+    * and records of the stages that group's jobs ran. Jobs of other groups are not counted.
     */
   def measure[A](spark: SparkSession)(action: => A): RunMetrics[A] = {
     val sc = spark.sparkContext
@@ -34,11 +35,11 @@ object Metrics {
         finally sc.clearJobGroup()
       val wall = (System.nanoTime() - t0) / 1000000L
       listener.awaitEvents(sc)
-      RunMetrics(wall, listener.shuffleBytes, res)
+      RunMetrics(wall, listener.shuffleBytes, listener.shuffleRecords, res)
     } finally sc.removeSparkListener(listener)
   }
 
-  /** Sums the shuffle write bytes of `group`'s stages.
+  /** Sums the shuffle write bytes and records of `group`'s stages.
     *
     * Listener events arrive asynchronously, but in the order they were
     * posted, and a job's stage events come before its `onJobEnd`. So after
@@ -51,6 +52,7 @@ object Metrics {
     private val stageIds = mutable.HashSet.empty[Int]
     private var markerJob = -1
     private var bytes = 0L
+    private var records = 0L
 
     private def groupOf(e: SparkListenerJobStart): String =
       if (e.properties == null) null else e.properties.getProperty("spark.jobGroup.id")
@@ -66,8 +68,11 @@ object Metrics {
     }
 
     override def onStageCompleted(e: SparkListenerStageCompleted): Unit = synchronized {
-      if (stageIds.contains(e.stageInfo.stageId))
-        bytes += e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten
+      if (stageIds.contains(e.stageInfo.stageId)) {
+        val w = e.stageInfo.taskMetrics.shuffleWriteMetrics
+        bytes += w.bytesWritten
+        records += w.recordsWritten
+      }
     }
 
     def awaitEvents(sc: SparkContext): Unit = {
@@ -78,5 +83,6 @@ object Metrics {
     }
 
     def shuffleBytes: Long = synchronized(bytes)
+    def shuffleRecords: Long = synchronized(records)
   }
 }

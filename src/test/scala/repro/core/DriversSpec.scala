@@ -8,8 +8,9 @@ import org.scalacheck.rng.Seed
 import repro.{Ex, SparkSpec, TestGen}
 import repro.baselines.LashLite
 import repro.Ex._
-import repro.fst.BlowUpException
+import repro.fst.{BlowUpException, FstCompiler}
 import repro.patex.PatExPrinter
+import repro.util.Metrics
 
 /** The Spark drivers (Alg. 1 dataflows) against brute force and each other.
   * Each algorithm runs exactly one shuffle round; results must agree exactly.
@@ -116,6 +117,33 @@ class DriversSpec extends SparkSpec {
   test("D-CAND shuffles its aggregated NFA records with Kryo") {
     val rdd = Drivers.dCand(sc, sc.parallelize(db, 4), dict, piEx, 2)
     assert(shuffleDeps(rdd).map(_.serializer).collect { case k: KryoSerializer => k }.size == 1)
+  }
+
+  test("D-CAND aggregates without Spark's combiner: a plain shuffle, no map-side combine") {
+    val rdd = Drivers.dCand(sc, sc.parallelize(db, 4), dict, piEx, 2)
+    val Seq(dep) = shuffleDeps(rdd)
+    assert(dep.aggregator.isEmpty)
+    assert(!dep.mapSideCombine)
+    assert(dep.serializer.isInstanceOf[KryoSerializer])
+  }
+
+  test("D-CAND ships one record per distinct (pivot, NFA) pair of each map task") {
+    // The database of the options test: identical NFAs meet within an input partition and across.
+    val patex = "(.)[.{0,1}(.)]{1,2}"
+    val (d, copies) = TestGen.encodeLocal(
+      Seq.fill(12)(TestGen.randomDb(66, nSeqs = 8)).flatten, TestGen.toyParents)
+    val sigma = 24L
+    val in = sc.parallelize(copies, 4)
+    val fst = FstCompiler.compile(patex, d)
+    val maxFid = d.maxFrequentFid(sigma)
+    val perPartition = in.glom().collect().toSeq.map(_.toSeq.flatMap(
+      Drivers.dCandRecords(_, fst, d, maxFid, maxNodes = 1 << 20, minimize = true)))
+    val distinctPerTask = perPartition.map(_.distinct.size).sum
+    // Map-side merging writes fewer records than merging on the reduce side only would.
+    assert(distinctPerTask < perPartition.map(_.size).sum)
+    val m = Metrics.measure(spark)(Drivers.dCand(sc, in, d, patex, sigma).collect().toMap)
+    assert(m.result == BruteForce.mine(copies, patex, sigma, d))
+    assert(m.shuffleWriteRecords == distinctPerTask)
   }
 
   test("dseq, dcand, naive and seminaive == brute force on generated constraints") {

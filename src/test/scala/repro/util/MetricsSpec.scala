@@ -17,11 +17,15 @@ class MetricsSpec extends SparkSpec {
     def shuffleJob(): Long = sc.parallelize(1 to 2000, 4).map(i => (i % 97, i)).groupByKey(4).count()
     val alone = Metrics.measure(spark)(shuffleJob())
     assert(alone.result == 97L && alone.shuffleWriteBytes > 0)
-    // A job without a shuffle adds nothing; a second shuffle job doubles the bytes.
-    assert(Metrics.measure(spark) { sc.parallelize(1 to 100).count(); shuffleJob() }.shuffleWriteBytes ==
-      alone.shuffleWriteBytes)
-    assert(Metrics.measure(spark) { shuffleJob(); shuffleJob() }.shuffleWriteBytes ==
-      2 * alone.shuffleWriteBytes)
-    assert(Metrics.measure(spark)(sc.parallelize(1 to 100).count()).shuffleWriteBytes == 0)
+    assert(alone.shuffleWriteRecords == 2000L)
+    // A job without a shuffle adds nothing; a second shuffle job doubles the bytes and records.
+    val withCount = Metrics.measure(spark) { sc.parallelize(1 to 100).count(); shuffleJob() }
+    assert(withCount.shuffleWriteBytes == alone.shuffleWriteBytes)
+    assert(withCount.shuffleWriteRecords == alone.shuffleWriteRecords)
+    val twice = Metrics.measure(spark) { shuffleJob(); shuffleJob() }
+    assert(twice.shuffleWriteBytes == 2 * alone.shuffleWriteBytes)
+    assert(twice.shuffleWriteRecords == 2 * alone.shuffleWriteRecords)
+    val none = Metrics.measure(spark)(sc.parallelize(1 to 100).count())
+    assert(none.shuffleWriteBytes == 0 && none.shuffleWriteRecords == 0)
   }
 }
