@@ -7,7 +7,7 @@ import repro.dict.Dictionary
 import repro.fst.{Fst, FstCompiler, FstSimulator}
 
 import scala.collection.mutable
-import scala.reflect.ClassTag
+import scala.reflect.{classTag, ClassTag}
 
 /** Distributed FSM drivers (Alg. 1 of the paper): map over input sequences,
   * one round of shuffle, then mine each partition independently.
@@ -94,10 +94,11 @@ object Drivers {
     * With `aggregate`, identical records merge into weights by one hash pass per map task and
     * one per reduce partition, each keyed per pivot by the value alone (a [[NfaSerializer.Bytes]]
     * caches its hash), so no record is sorted or hashed as a tuple. A map task ships one
-    * `((k, value), weight)` record per distinct pair through a plain shuffle with Kryo. Neither
-    * table spills: a map task's holds at most its own distinct records, and a reduce partition
-    * holds its records in memory anyway. Without `aggregate`, records ship with Kryo when `V`'s
-    * `ClassTag` shows primitives or their arrays.
+    * `((k, value), weight)` record per distinct pair through a plain shuffle with Kryo, `V`'s
+    * class registered so that no record carries its name. Neither table spills: a map task's
+    * holds at most its own distinct records, and a reduce partition holds its records in memory
+    * anyway. Without `aggregate`, records ship with Kryo when `V`'s `ClassTag` shows primitives or
+    * their arrays.
     */
   private[repro] def minePivots[V: ClassTag](sequences: RDD[Array[Int]], aggregate: Boolean)(
       records: Array[Int] => Iterator[(Int, V)])(
@@ -109,8 +110,9 @@ object Drivers {
         for (t <- seqs; (k, v) <- records(t)) sums.add(k, v, 1L)
         sums.byK.iterator.flatMap { case (k, vs) => vs.iterator.map { case (v, w) => ((k, v), w) } }
       }
+      val kryo = sequences.sparkContext.getConf.registerKryoClasses(Array(classTag[V].runtimeClass))
       new ShuffledRDD[(Int, V), Long, Long](perTask, byPivot)
-        .setSerializer(new KryoSerializer(sequences.sparkContext.getConf))
+        .setSerializer(new KryoSerializer(kryo))
         .mapPartitions { recs =>
           val sums = new PivotWeights[V]
           for (((k, v), w) <- recs) sums.add(k, v, w)

@@ -33,52 +33,26 @@ object Nfa {
     * of each state's edges. The result accepts exactly the same language;
     * states unreachable from the root are dropped.
     *
-    * One DFS from the root, children in edge order, classifies each state as
-    * it returns from it: its signature is its finality plus the sorted,
-    * distinct `labelId << 32 | class` of its edges, hash-consed in the same
-    * [[SignatureTable]] that [[buildForSequence]] fills while it builds. Class
-    * `c` is state `c + 1` and the root's class (the last) is state 0; a class
-    * keeps the edge order of its first state, with repeats dropped.
+    * One DFS from the root, children in edge order, classes each state in
+    * [[RevuzClasses]] as it returns from it, as [[buildForSequence]] does
+    * while it builds.
     */
   def minimize(nfa: Nfa): Nfa = {
-    val table = new SignatureTable
+    val classes = new RevuzClasses(merge = true)
     val classOf = Array.fill(nfa.numStates)(-1)
-    val keys = new Array[Long](nfa.edges.iterator.map(_.length).max / 2)
-    val isFinal = new Array[Boolean](nfa.numStates)
-    val edges = new Array[Array[Int]](nfa.numStates)
+    val pairs = new Array[Int](nfa.edges.iterator.map(_.length).max) // `labelId, class` of q's edges
 
     def visit(q: Int): Int = {
       val es = nfa.edges(q)
       var j = 1
       while (j < es.length) { if (classOf(es(j)) < 0) classOf(es(j)) = visit(es(j)); j += 2 }
-      val degree = es.length / 2
       j = 0
-      while (j < degree) { keys(j) = es(2 * j).toLong << 32 | classOf(es(2 * j + 1)); j += 1 }
-      java.util.Arrays.sort(keys, 0, degree)
-      var d = 0
-      j = 0
-      while (j < degree) { if (d == 0 || keys(j) != keys(d - 1)) { keys(d) = keys(j); d += 1 }; j += 1 }
-      val size = table.size
-      val c = table.classOf(nfa.isFinal(q), keys, d)
-      if (c == size) { // a new class: q represents it
-        val out = new Array[Int](2 * d)
-        var o = 0
-        j = 0
-        while (j < es.length) {
-          val t = classOf(es(j + 1)) + 1
-          var x = if (d < degree) 0 else o // look for a repeat only if there is one
-          while (x < o && (out(x) != es(j) || out(x + 1) != t)) x += 2
-          if (x == o) { out(o) = es(j); out(o + 1) = t; o += 2 }
-          j += 2
-        }
-        isFinal(if (q == 0) 0 else c + 1) = nfa.isFinal(q)
-        edges(if (q == 0) 0 else c + 1) = out
-      }
-      c
+      while (j < es.length) { pairs(j) = es(j); pairs(j + 1) = classOf(es(j + 1)); j += 2 }
+      classes.classOf(nfa.isFinal(q), pairs, 0, es.length / 2)
     }
 
     visit(0)
-    new Nfa(java.util.Arrays.copyOf(isFinal, table.size), java.util.Arrays.copyOf(edges, table.size), nfa.labels)
+    classes.result(nfa.labels)
   }
 
   /** Build the per-pivot NFAs for input sequence `t` (Sec. VI-A): for each
@@ -89,9 +63,9 @@ object Nfa {
     * items `<= k` (a slice of the sorted set, interned once per sequence).
     * The trie is not built run by run: [[PivotTries]] walks it by one DFS
     * over trie nodes, each the set of product states the runs spelling its
-    * label prefix can be in, and hash-conses every node's signature as the
-    * DFS returns from it (Revuz on the fly), so the minimized NFA comes out
-    * directly. With `minimize = false` every node is its own class, which
+    * label prefix can be in, and classes every node in [[RevuzClasses]] as
+    * the DFS returns from it (Revuz on the fly), so the minimized NFA comes
+    * out directly. With `minimize = false` every node is its own class, which
     * gives the trie as built.
     *
     * The NFAs, with their edge order, equal those of inserting the accepting
@@ -190,12 +164,11 @@ object Nfa {
     private var pairState = new Array[Int](16)
     private var pairNext = new Array[Int](16)
     private var pairs = 0
-    // Children of the nodes on the DFS path, contiguous per node: label,
-    // first and last pair, and class once visited.
-    private var childLabel = new Array[Int](16)
+    // Children of the nodes on the DFS path, contiguous per node: first and
+    // last pair, and in `childPairs` label, then class once visited.
     private var childHead = new Array[Int](16)
     private var childTail = new Array[Int](16)
-    private var childClass = new Array[Int](16)
+    private var childPairs = new Array[Int](32)
     private var children = 0
     // Per label id: the expansion that last met it, and its child there.
     private var labelEpoch = new Array[Int](16)
@@ -204,30 +177,21 @@ object Nfa {
     private val visited = new Array[Int]((n + 1) * s * 2)
     private var epoch = 0
 
-    private val table = new SignatureTable
-    private var keys = new Array[Long](16)
-    // The NFA being emitted: one state per class.
-    private var classes = 0
-    private var isFinal = new Array[Boolean](16)
-    private var edges = new Array[Array[Int]](16)
+    private val classes = new RevuzClasses(merge = minimize)
 
-    /** The current pivot's NFA: state 0 is the root; any other class `c`,
-      * numbered in post-order, is state `c + 1` (the root's class is last).
-      */
+    /** The current pivot's NFA. */
     def build(): Nfa = {
-      table.clear()
-      classes = 0
       pairState(0) = fst.initial << 1
       pairNext(0) = -1
       pairs = 1
-      visit(0, isRoot = true)
-      new Nfa(java.util.Arrays.copyOf(isFinal, classes), java.util.Arrays.copyOf(edges, classes), labels.table)
+      visit(0)
+      classes.result(labels.table)
     }
 
     /** Expands the node whose state list starts at pair `head`, visits its
       * children, and returns its class.
       */
-    private def visit(head: Int, isRoot: Boolean): Int = {
+    private def visit(head: Int): Int = {
       nodes += 1
       if (nodes > maxNodes) throw new BlowUpException(s"more than $maxNodes trie nodes in one sequence")
       val pairsBefore = pairs
@@ -244,41 +208,11 @@ object Nfa {
       val end = children
       var c = first
       while (c < end) {
-        val cls = visit(childHead(c), isRoot = false) // may grow the child arrays
-        childClass(c) = cls
+        val cls = visit(childHead(c)) // may grow the child arrays
+        childPairs(2 * c + 1) = cls
         c += 1
       }
-
-      // Revuz on the fly: the children's classes are final now.
-      val degree = end - first
-      if (degree > keys.length) keys = new Array[Long](2 * degree)
-      var x = 0
-      while (x < degree) {
-        keys(x) = childLabel(first + x).toLong << 32 | childClass(first + x)
-        x += 1
-      }
-      var cls = classes
-      if (minimize) {
-        java.util.Arrays.sort(keys, 0, degree)
-        cls = table.classOf(nodeFinal, keys, degree)
-      }
-      if (cls == classes) { // a new class: this node represents it
-        classes += 1
-        if (classes == isFinal.length) {
-          isFinal = java.util.Arrays.copyOf(isFinal, 2 * classes)
-          edges = java.util.Arrays.copyOf(edges, 2 * classes)
-        }
-        val out = new Array[Int](2 * degree)
-        x = 0
-        while (x < degree) {
-          out(2 * x) = childLabel(first + x)
-          out(2 * x + 1) = childClass(first + x) + 1
-          x += 1
-        }
-        val id = if (isRoot) 0 else cls + 1
-        isFinal(id) = nodeFinal
-        edges(id) = out
-      }
+      val cls = classes.classOf(nodeFinal, childPairs, 2 * first, end - first)
       children = first
       pairs = pairsBefore
       cls
@@ -324,11 +258,10 @@ object Nfa {
       } else {
         labelEpoch(labelId) = epoch
         labelChild(labelId) = children
-        childLabel = grown(childLabel, children)
         childHead = grown(childHead, children)
         childTail = grown(childTail, children)
-        childClass = grown(childClass, children)
-        childLabel(children) = labelId
+        childPairs = grown(childPairs, 2 * children + 1)
+        childPairs(2 * children) = labelId
         childHead(children) = pairs
         childTail(children) = pairs
         children += 1

@@ -49,81 +49,120 @@ private[core] final class LabelInterner {
   }
 }
 
-/** Hash-consing of Revuz signatures (Revuz, TCS 1992): a state's finality
-  * plus its sorted, distinct edge keys `labelId << 32 | class`. Two states of
-  * an acyclic automaton are equivalent iff their signatures over already
-  * classified children are equal. Class ids are dense, from 0, in first-seen
-  * order; the keys of all classes are kept in one flat array.
+/** Revuz classing (Revuz, TCS 1992) of an acyclic automaton's states,
+  * children first, emitting the automaton of the classes.
+  *
+  * A state's signature is its finality plus the sorted, distinct keys
+  * `labelId << 32 | class` of its edges. Two states are equivalent iff their
+  * signatures over already classified children are equal, so signatures are
+  * hash-consed into dense class ids, from 0, in first-seen order. Without
+  * `merge`, every state is its own class. In the emitted NFA, class `c` is
+  * state `c + 1` and the last class, the root's, is state 0; a class keeps the
+  * edge order of its first state, with repeats dropped.
   */
-private[core] final class SignatureTable {
-  private var keys = new Array[Long](64)
+private[core] final class RevuzClasses(merge: Boolean) {
+  private var sig = new Array[Long](16) // the signature being classed
+  private var keys = new Array[Long](64) // the signatures of all classes, kept only with `merge`
   private var used = 0
   private var start = new Array[Int](17) // class c's keys: keys(start(c) until start(c + 1))
   private var finals = new Array[Boolean](16)
+  private var edges = new Array[Array[Int]](16)
   private var hashes = new Array[Int](16)
-  private var slotOf = new Array[Int](16) // class -> its slot, so `clear` is O(size)
+  private var slotOf = new Array[Int](16) // class -> its slot, so clearing is O(classes)
   private var n = 0
   private var slots = Array.fill(32)(-1) // class ids, open addressing by hash
 
-  def size: Int = n
-
-  /** Forgets every class. */
-  def clear(): Unit = {
-    var c = 0
-    while (c < n) { slots(slotOf(c)) = -1; c += 1 }
-    n = 0
-    used = 0
-  }
-
-  /** The class of the signature `(isFinal, sig(0 until len))`, which must be
-    * sorted and distinct; a new class if it is not yet in the table.
+  /** The class of a state with finality `isFinal` whose edges are the
+    * `labelId, childClass` pairs `pairs(from until from + 2 * degree)`.
     */
-  def classOf(isFinal: Boolean, sig: Array[Long], len: Int): Int = {
-    var h = if (isFinal) 1 else 0
-    var i = 0
-    while (i < len) {
-      val m = sig(i) * 0x9E3779B97F4A7C15L
-      h = 31 * h + (m ^ (m >>> 32)).toInt
-      i += 1
+  def classOf(isFinal: Boolean, pairs: Array[Int], from: Int, degree: Int): Int = {
+    var len = degree
+    var h = 0
+    var s = 0
+    if (merge) {
+      if (degree > sig.length) sig = new Array[Long](2 * degree)
+      var j = 0
+      while (j < degree) { sig(j) = pairs(from + 2 * j).toLong << 32 | pairs(from + 2 * j + 1); j += 1 }
+      java.util.Arrays.sort(sig, 0, degree)
+      len = 0
+      j = 0
+      while (j < degree) { if (len == 0 || sig(j) != sig(len - 1)) { sig(len) = sig(j); len += 1 }; j += 1 }
+      h = if (isFinal) 1 else 0
+      j = 0
+      while (j < len) {
+        val m = sig(j) * 0x9E3779B97F4A7C15L
+        h = 31 * h + (m ^ (m >>> 32)).toInt
+        j += 1
+      }
+      h ^= h >>> 16
+      s = h & (slots.length - 1)
+      while (slots(s) >= 0) {
+        val c = slots(s)
+        if (hashes(c) == h && finals(c) == isFinal &&
+            java.util.Arrays.equals(keys, start(c), start(c + 1), sig, 0, len))
+          return c
+        s = (s + 1) & (slots.length - 1)
+      }
     }
-    h ^= h >>> 16
-    var mask = slots.length - 1
-    var s = h & mask
-    while (slots(s) >= 0) {
-      val c = slots(s)
-      if (hashes(c) == h && finals(c) == isFinal &&
-          java.util.Arrays.equals(keys, start(c), start(c + 1), sig, 0, len))
-        return c
-      s = (s + 1) & mask
-    }
+
     if (n == finals.length) {
       finals = java.util.Arrays.copyOf(finals, 2 * n)
+      edges = java.util.Arrays.copyOf(edges, 2 * n)
       hashes = java.util.Arrays.copyOf(hashes, 2 * n)
       slotOf = java.util.Arrays.copyOf(slotOf, 2 * n)
       start = java.util.Arrays.copyOf(start, 2 * n + 1)
     }
-    if (used + len > keys.length) keys = java.util.Arrays.copyOf(keys, math.max(2 * keys.length, used + len))
-    System.arraycopy(sig, 0, keys, used, len)
-    start(n) = used
-    used += len
-    start(n + 1) = used
+    val out = new Array[Int](2 * len)
+    var o = 0
+    var j = from
+    while (j < from + 2 * degree) {
+      val t = pairs(j + 1) + 1
+      var x = if (len < degree) 0 else o // look for a repeat only if there is one
+      while (x < o && (out(x) != pairs(j) || out(x + 1) != t)) x += 2
+      if (x == o) { out(o) = pairs(j); out(o + 1) = t; o += 2 }
+      j += 2
+    }
     finals(n) = isFinal
-    hashes(n) = h
-    slots(s) = n
-    slotOf(n) = s
-    n += 1
-    if (2 * n > slots.length) {
-      slots = Array.fill(2 * slots.length)(-1)
-      mask = slots.length - 1
-      var c = 0
-      while (c < n) {
-        var t = hashes(c) & mask
-        while (slots(t) >= 0) t = (t + 1) & mask
-        slots(t) = c
-        slotOf(c) = t
-        c += 1
+    edges(n) = out
+    if (merge) {
+      if (used + len > keys.length)
+        keys = java.util.Arrays.copyOf(keys, math.max(2 * keys.length, used + len))
+      System.arraycopy(sig, 0, keys, used, len)
+      start(n) = used
+      used += len
+      start(n + 1) = used
+      hashes(n) = h
+      slots(s) = n
+      slotOf(n) = s
+      if (2 * (n + 1) > slots.length) {
+        slots = Array.fill(2 * slots.length)(-1)
+        var c = 0
+        while (c <= n) {
+          var t = hashes(c) & (slots.length - 1)
+          while (slots(t) >= 0) t = (t + 1) & (slots.length - 1)
+          slots(t) = c
+          slotOf(c) = t
+          c += 1
+        }
       }
     }
+    n += 1
     n - 1
+  }
+
+  /** The NFA of the classes so far over the label table `labels`; forgets
+    * every class.
+    */
+  def result(labels: Array[Array[Int]]): Nfa = {
+    val isFinal = new Array[Boolean](n)
+    val es = new Array[Array[Int]](n)
+    System.arraycopy(finals, 0, isFinal, 1, n - 1)
+    System.arraycopy(edges, 0, es, 1, n - 1)
+    isFinal(0) = finals(n - 1)
+    es(0) = edges(n - 1)
+    if (merge) { var c = 0; while (c < n) { slots(slotOf(c)) = -1; c += 1 } }
+    n = 0
+    used = 0
+    new Nfa(isFinal, es, labels)
   }
 }

@@ -112,6 +112,20 @@ class DCandPropertySpec extends SparkSpec {
     })
   }
 
+  test("no two states of a minimized trie accept the same label-id strings") {
+    check(Prop.forAllNoShrink(NfaGen.trieRuns) { runs =>
+      distinctLanguages(Nfa.minimize(NfaGen.trieOf(runs)))
+    })
+    for ((name, patex) <- TestGen.patterns) withClue(name) {
+      check(Prop.forAllNoShrink(Gen.choose(0L, 1L << 20), Gen.oneOf(1L, 3L)) { (seed, sigma) =>
+        val (dict, db) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 8, maxLen = 8), TestGen.toyParents)
+        val fst = FstCompiler.compile(patex, dict)
+        db.forall(t => Nfa.buildForSequence(t, fst, dict, dict.maxFrequentFid(sigma), minimize = true)
+          .values.forall(distinctLanguages))
+      }, tests = 25)
+    }
+  }
+
   test("NfaMiner.mine equals a brute-force count over the weighted NFAs' languages") {
     val input = for {
       n <- Gen.choose(1, 4)
@@ -136,6 +150,20 @@ class DCandPropertySpec extends SparkSpec {
     def rec(q: Int): Unit = for ((_, t) <- NfaGen.edgesOf(nfa, q) if seen.add(t)) rec(t)
     rec(0)
     seen.size
+  }
+
+  /** Whether `nfa`'s states accept pairwise different sets of label-id
+    * strings, which for a trie's minimization is minimality.
+    */
+  private def distinctLanguages(nfa: Nfa): Boolean = {
+    val accepted = new Array[Set[List[Int]]](nfa.numStates)
+    def of(q: Int): Set[List[Int]] = {
+      if (accepted(q) == null)
+        accepted(q) = nfa.edges(q).grouped(2).flatMap(e => of(e(1)).map(e(0) :: _)).toSet ++
+          (if (nfa.isFinal(q)) Set(Nil) else Set.empty)
+      accepted(q)
+    }
+    (0 until nfa.numStates).map(of).distinct.size == nfa.numStates
   }
 
   /** Every word spelled by picking one item from each set. */

@@ -119,6 +119,16 @@ class DriversSpec extends SparkSpec {
     assert(shuffleDeps(rdd).map(_.serializer).collect { case k: KryoSerializer => k }.size == 1)
   }
 
+  test("D-CAND's shuffle writes no class name with its NFA records") {
+    val Seq(dep) = shuffleDeps(Drivers.dCand(sc, sc.parallelize(db, 4), dict, piEx, 2))
+    val bytes = new java.io.ByteArrayOutputStream
+    val out = dep.serializer.newInstance().serializeStream(bytes)
+    out.writeKey[(Int, NfaSerializer.Bytes)]((7, new NfaSerializer.Bytes(Array.fill[Byte](40)(1))))
+    out.writeValue[Long](1L)
+    out.close()
+    assert(!new String(bytes.toByteArray, "ISO-8859-1").contains("repro.core.NfaSerializer"))
+  }
+
   test("D-CAND aggregates without Spark's combiner: a plain shuffle, no map-side combine") {
     val rdd = Drivers.dCand(sc, sc.parallelize(db, 4), dict, piEx, 2)
     val Seq(dep) = shuffleDeps(rdd)
