@@ -30,7 +30,7 @@ class BaselinesBench extends BenchBase {
     // D-SEQ's rewritten-sequence representation always wins here; D-CAND's
     // NFA representation wins on longer sequences with shared structure (A2).
     // On very short sentences (N5) it shuffles only a little less than
-    // SEMI-NAIVE (3 284 vs 4 188 KB on 4 partitions): our sentences are ~3x
+    // SEMI-NAIVE (3 226 vs 4 188 KB on 4 partitions): our sentences are ~3x
     // shorter than NYT's, so an explicit candidate costs little more than its NFA.
     assert(dseqN5 < semiN5, s"D-SEQ $dseqN5 vs SEMI-NAIVE $semiN5 on N5")
     assert(dseqA2 < semiA2, s"D-SEQ $dseqA2 vs SEMI-NAIVE $semiA2 on A2")

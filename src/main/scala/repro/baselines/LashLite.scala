@@ -32,8 +32,7 @@ object LashLite {
     require(lambda >= 2, "T3 subsequences have at least 2 items")
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
-    Drivers.minePivots(sequences, aggregate = false)(
-      records(_, bcDict.value, maxFid, gamma))(
+    Drivers.minePivots(sequences)(_.flatMap(records(_, bcDict.value, maxFid, gamma)))(
       minePivot(_, _, bcDict.value, sigma, gamma, lambda))
   }
 
@@ -95,13 +94,13 @@ object LashLite {
     */
   private[repro] def minePivot(
       k: Int,
-      db: IndexedSeq[(Array[Int], Long)],
+      rewrites: IndexedSeq[Array[Int]],
       dict: Dictionary,
       sigma: Long,
       gamma: Int,
       lambda: Int
   ): Iterator[(Pattern, Long)] = {
-    val seqs = db.map(_._1).toArray
+    val seqs = rewrites.toArray
     // nextK(tid)(p) is that `r`, or Int.MaxValue if there is none.
     val nextK = seqs.map { t =>
       val next = new Array[Int](t.length)
@@ -113,7 +112,7 @@ object LashLite {
       }
       next
     }
-    val search = new PatternGrowth(db.map(_._2).toArray, sigma, k) {
+    val search = new PatternGrowth(Array.fill(seqs.length)(1L), sigma, k) {
       protected def extend(entries: Array[Long], hasPivot: Boolean): Unit =
         if (prefixLength < lambda) {
           // From the root every position starts a pattern; afterwards only

@@ -1,13 +1,13 @@
 package repro.core
 
-import org.apache.spark.{Partitioner, SparkContext}
+import org.apache.spark.{HashPartitioner, SparkContext}
 import org.apache.spark.rdd.{RDD, ShuffledRDD}
 import org.apache.spark.serializer.KryoSerializer
 import repro.dict.Dictionary
 import repro.fst.{Fst, FstCompiler, FstSimulator}
 
 import scala.collection.mutable
-import scala.reflect.{classTag, ClassTag}
+import scala.reflect.ClassTag
 
 /** Distributed FSM drivers (Alg. 1 of the paper): map over input sequences,
   * one round of shuffle, then mine each partition independently.
@@ -42,8 +42,9 @@ object Drivers {
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
     // 99–100% of the `(k, ρk(T))` records are distinct; a weight would only grow them.
-    minePivots(sequences, aggregate = false)(dSeqRecords(_, bcFst.value, bcDict.value, maxFid, rewrite))(
-      (k, seqs) => DesqDfs.mine(seqs, bcFst.value, bcDict.value, sigma, maxFid, Some(k), earlyStop).iterator)
+    minePivots(sequences)(_.flatMap(dSeqRecords(_, bcFst.value, bcDict.value, maxFid, rewrite)))(
+      (k, seqs) => DesqDfs.mine(seqs.map((_, 1L)), bcFst.value, bcDict.value, sigma, maxFid, Some(k), earlyStop)
+        .iterator)
   }
 
   /** D-SEQ's map side: `(k, ρk(t))`, or `(k, t)` without `rewrite`, per pivot `k` of `t`. */
@@ -55,8 +56,8 @@ object Drivers {
 
   /** D-CAND (Sec. VI): item-based partitioning with candidate representation.
     * The map phase encodes each sequence's pivot-k candidates as a minimized
-    * NFA and serializes it; with `aggregate`, identical `(k, nfa)` records
-    * are merged into weighted ones. The reduce phase counts candidates
+    * NFA and serializes it; with `aggregate`, each map task merges identical
+    * `(k, nfa)` records into weighted ones. The reduce phase counts candidates
     * directly on the compressed NFAs, one pivot at a time.
     */
   def dCand(
@@ -73,8 +74,8 @@ object Drivers {
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
-    minePivots(sequences, aggregate)(
-      dCandRecords(_, bcFst.value, bcDict.value, maxFid, maxNodes, minimizeNfas))(dCandMine(_, _, sigma))
+    minePivots(sequences)(
+      dCandTask(_, bcFst.value, bcDict.value, maxFid, maxNodes, minimizeNfas, aggregate))(dCandMine(_, _, sigma))
   }
 
   /** D-CAND's map side: `(k, serialized NFA of t's pivot-k candidates)` per pivot `k` of `t`. */
@@ -83,64 +84,56 @@ object Drivers {
     Nfa.buildForSequence(t, fst, dict, maxFid, maxNodes, minimize)
       .iterator.map { case (k, nfa) => (k, NfaSerializer.serialize(nfa)) }
 
-  /** D-CAND's reduce side: NFAs stay serialized until their pivot `k` is mined. */
-  private[repro] def dCandMine(k: Int, nfas: IndexedSeq[(NfaSerializer.Bytes, Long)], sigma: Long) =
-    NfaMiner.mine(nfas.map { case (b, w) => (NfaSerializer.deserialize(b), w) }, sigma, k).iterator
-
-  /** Item-based partitioning (Alg. 1) for D-SEQ, D-CAND and LASH-lite: one shuffle sends the
-    * `(k, value)` `records` of pivot `k` to partition `k mod defaultParallelism`, and each reduce
-    * partition `mine`s its pivots in turn.
-    *
-    * With `aggregate`, identical records merge into weights by one hash pass per map task and
-    * one per reduce partition, each keyed per pivot by the value alone (a [[NfaSerializer.Bytes]]
-    * caches its hash), so no record is sorted or hashed as a tuple. A map task ships one
-    * `((k, value), weight)` record per distinct pair through a plain shuffle with Kryo, `V`'s
-    * class registered so that no record carries its name. Neither table spills: a map task's
-    * holds at most its own distinct records, and a reduce partition holds its records in memory
-    * anyway. Without `aggregate`, records ship with Kryo when `V`'s `ClassTag` shows primitives or
-    * their arrays.
+  /** D-CAND's map task: the [[dCandRecords]] of its sequences as `(k, (nfa, weight))`. With
+    * `aggregate`, identical `(k, nfa)` records are summed in one hash table per pivot, keyed by
+    * the NFA alone (a [[NfaSerializer.Bytes]] caches its hash), so the task ships one record
+    * per distinct pair and no record is hashed as a tuple; the table cannot spill, as it holds
+    * only the task's own distinct records. Without `aggregate`, every record has weight 1.
     */
-  private[repro] def minePivots[V: ClassTag](sequences: RDD[Array[Int]], aggregate: Boolean)(
-      records: Array[Int] => Iterator[(Int, V)])(
-      mine: (Int, IndexedSeq[(V, Long)]) => Iterator[(Pattern, Long)]): RDD[(Pattern, Long)] = {
-    val byPivot = new PivotPartitioner(sequences.sparkContext.defaultParallelism)
-    if (aggregate) {
-      val perTask = sequences.mapPartitions { seqs =>
-        val sums = new PivotWeights[V]
-        for (t <- seqs; (k, v) <- records(t)) sums.add(k, v, 1L)
-        sums.byK.iterator.flatMap { case (k, vs) => vs.iterator.map { case (v, w) => ((k, v), w) } }
-      }
-      val kryo = sequences.sparkContext.getConf.registerKryoClasses(Array(classTag[V].runtimeClass))
-      new ShuffledRDD[(Int, V), Long, Long](perTask, byPivot)
-        .setSerializer(new KryoSerializer(kryo))
-        .mapPartitions { recs =>
-          val sums = new PivotWeights[V]
-          for (((k, v), w) <- recs) sums.add(k, v, w)
-          sums.byK.iterator.flatMap { case (k, vs) => mine(k, vs.toIndexedSeq) }
-        }
-    } else sequences.flatMap(records).partitionBy(byPivot).mapPartitions { recs =>
-      val byK = mutable.HashMap.empty[Int, mutable.Builder[(V, Long), Vector[(V, Long)]]]
-      for ((k, v) <- recs) byK.getOrElseUpdate(k, Vector.newBuilder) += ((v, 1L))
-      byK.iterator.flatMap { case (k, vs) => mine(k, vs.result()) }
+  private[repro] def dCandTask(seqs: Iterator[Array[Int]], fst: Fst, dict: Dictionary, maxFid: Int,
+                               maxNodes: Int, minimize: Boolean,
+                               aggregate: Boolean): Iterator[(Int, (NfaSerializer.Bytes, Long))] = {
+    val records = seqs.flatMap(dCandRecords(_, fst, dict, maxFid, maxNodes, minimize))
+    if (!aggregate) records.map { case (k, b) => (k, (b, 1L)) }
+    else {
+      val byK = mutable.HashMap.empty[Int, mutable.HashMap[NfaSerializer.Bytes, Long]]
+      for ((k, b) <- records) addWeight(byK.getOrElseUpdate(k, mutable.HashMap.empty), b, 1L)
+      byK.iterator.flatMap { case (k, ws) => ws.iterator.map((k, _)) }
     }
   }
 
-  /** Weights of `(k, value)` records, summed per pivot `k` and value. */
-  private final class PivotWeights[V] {
-    val byK = mutable.HashMap.empty[Int, mutable.HashMap[V, Long]]
-    def add(k: Int, v: V, w: Long): Unit =
-      byK.getOrElseUpdate(k, mutable.HashMap.empty).updateWith(v) {
-        case Some(sum) => Some(sum + w)
-        case None      => Some(w)
-      }
+  /** D-CAND's reduce side: pivot `k`'s weighted NFAs, which stay serialized until `k` is mined.
+    * Equal NFAs from different map tasks merge their weights before they are decoded.
+    */
+  private[repro] def dCandMine(k: Int, nfas: IndexedSeq[(NfaSerializer.Bytes, Long)], sigma: Long) = {
+    val ws = mutable.HashMap.empty[NfaSerializer.Bytes, Long]
+    for ((b, w) <- nfas) addWeight(ws, b, w)
+    NfaMiner.mine(ws.iterator.map { case (b, w) => (NfaSerializer.deserialize(b), w) }.toIndexedSeq, sigma, k)
+      .iterator
   }
 
-  /** Places a `k` or `(k, value)` key by `k` alone, so all records of a pivot meet in one partition. */
-  private final class PivotPartitioner(val numPartitions: Int) extends Partitioner {
-    def getPartition(key: Any): Int = java.lang.Math.floorMod(key match {
-      case (k: Int, _) => k
-      case k: Int      => k
-    }, numPartitions)
+  private def addWeight(ws: mutable.HashMap[NfaSerializer.Bytes, Long], b: NfaSerializer.Bytes, w: Long): Unit =
+    ws.updateWith(b)(sum => Some(sum.getOrElse(0L) + w))
+
+  /** Item-based partitioning (Alg. 1) for D-SEQ, D-CAND and LASH-lite: each map task turns its
+    * sequences into `(k, value)` `records`, one plain shuffle sends pivot `k`'s records to
+    * partition `k mod defaultParallelism`, and each reduce partition groups its values by pivot
+    * and `mine`s one pivot at a time. The shuffle has no aggregator, so Spark writes it with its
+    * bypass-merge writer, and it ships with Kryo, whose conf registers [[NfaSerializer.Bytes]]
+    * so that no D-CAND record carries that class's name.
+    */
+  private[repro] def minePivots[V: ClassTag](sequences: RDD[Array[Int]])(
+      records: Iterator[Array[Int]] => Iterator[(Int, V)])(
+      mine: (Int, IndexedSeq[V]) => Iterator[(Pattern, Long)]): RDD[(Pattern, Long)] = {
+    val sc = sequences.sparkContext
+    val kryo = sc.getConf.registerKryoClasses(Array(classOf[NfaSerializer.Bytes]))
+    new ShuffledRDD[Int, V, V](sequences.mapPartitions(records), new HashPartitioner(sc.defaultParallelism))
+      .setSerializer(new KryoSerializer(kryo))
+      .mapPartitions { recs =>
+        val byK = mutable.HashMap.empty[Int, mutable.Builder[V, Vector[V]]]
+        for ((k, v) <- recs) byK.getOrElseUpdate(k, Vector.newBuilder) += v
+        byK.iterator.flatMap { case (k, vs) => mine(k, vs.result()) }
+      }
   }
 
   /** NAIVE (Sec. III-A): subsequence-based partitioning — generate every

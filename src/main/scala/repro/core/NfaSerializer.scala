@@ -32,7 +32,13 @@ object NfaSerializer {
   private final val TagFinal = 3
 
   def serialize(nfa: Nfa): Bytes = {
-    val tokens = new mutable.ArrayBuilder.ofInt
+    val out = new mutable.ArrayBuilder.ofByte
+    def put(token: Int): Unit = { // one varint
+      require(token >= 0, "varint requires non-negative tokens")
+      var x = token
+      while ((x & ~0x7F) != 0) { out += ((x & 0x7F) | 0x80).toByte; x >>>= 7 }
+      out += x.toByte
+    }
     val visitId = Array.fill(nfa.numStates)(-1) // original state -> DFS id
     visitId(0) = 0
     var visited = 1
@@ -46,19 +52,19 @@ object NfaSerializer {
         val label = nfa.labels(es(j))
         val t = es(j + 1)
         j += 2
-        if (cursor != qid) { tokens += TagSrc; tokens += qid }
-        tokens += TagLabel
-        tokens += label.length
+        if (cursor != qid) { put(TagSrc); put(qid) }
+        put(TagLabel)
+        put(label.length)
         var prev = 0
-        for (w <- label) { tokens += (w - prev); prev = w }
+        for (w <- label) { put(w - prev); prev = w }
         if (visitId(t) >= 0) {
-          tokens += TagTgt; tokens += visitId(t)
+          put(TagTgt); put(visitId(t))
           cursor = visitId(t)
         } else {
           val tid = visited
           visitId(t) = tid
           visited += 1
-          if (nfa.isFinal(t)) tokens += TagFinal
+          if (nfa.isFinal(t)) put(TagFinal)
           cursor = tid
           dfs(t)
           // cursor stays wherever the subtree left it — the deserializer
@@ -67,7 +73,7 @@ object NfaSerializer {
       }
     }
     dfs(0)
-    new Bytes(varints(tokens.result()))
+    new Bytes(out.result())
   }
 
   /** The NFA of `b`; labels are interned on decode, so equal sets share an id.
@@ -130,17 +136,6 @@ object NfaSerializer {
   }
 
   // ------------------------------------------------------------------ varint
-
-  private def varints(xs: Array[Int]): Array[Byte] = {
-    val out = new mutable.ArrayBuilder.ofByte
-    for (x0 <- xs) {
-      var x = x0
-      require(x >= 0, "varint requires non-negative tokens")
-      while ((x & ~0x7F) != 0) { out += ((x & 0x7F) | 0x80).toByte; x >>>= 7 }
-      out += x.toByte
-    }
-    out.result()
-  }
 
   /** Reads varint tokens in place. Tags are below 0x80, so a tag is one byte. */
   private final class VarintReader(bs: Array[Byte]) {

@@ -102,18 +102,14 @@ object TestGen {
     (dict, db.toIndexedSeq.map(_.map(dict.fid)))
   }
 
-  /** `Drivers.minePivots` as plain collection operations: `records` maps each
-    * sequence of `db` to `(pivot, value)` records, `aggregate` merges
-    * identical ones into weights, and `mine` mines each pivot's values.
+  /** `Drivers.minePivots` as plain collection operations: `records`, the map
+    * function of one task, maps all of `db` to `(pivot, value)` records, and
+    * `mine` mines each pivot's values.
     */
-  def minePivotsLocally[V](db: Seq[Array[Int]], aggregate: Boolean)(
-      records: Array[Int] => Iterator[(Int, V)])(
-      mine: (Int, IndexedSeq[(V, Long)]) => Iterator[(Pattern, Long)]): Map[Pattern, Long] = {
-    val perSeq = db.flatMap(records)
-    val weighted = if (aggregate) perSeq.groupMapReduce(identity)(_ => 1L)(_ + _).toSeq else perSeq.map((_, 1L))
-    weighted.groupMap(_._1._1) { case ((_, v), w) => (v, w) }
-      .flatMap { case (k, vs) => mine(k, vs.toIndexedSeq) }
-  }
+  def minePivotsLocally[V](db: Seq[Array[Int]])(
+      records: Iterator[Array[Int]] => Iterator[(Int, V)])(
+      mine: (Int, IndexedSeq[V]) => Iterator[(Pattern, Long)]): Map[Pattern, Long] =
+    records(db.iterator).toIndexedSeq.groupMap(_._1)(_._2).flatMap { case (k, vs) => mine(k, vs) }
 
   /** The battery of pattern expressions exercised in randomized tests. */
   val patterns: Seq[(String, String)] = Seq(

@@ -105,13 +105,19 @@ class DriversSpec extends SparkSpec {
   }
 
   test("D-SEQ and LASH-lite shuffle their pivot records with Kryo") {
-    // Spark picks Kryo only for records of primitives and primitive arrays
-    // whose ClassTags it sees; a wrapped or erased record ships with Java
-    // serialization and grows the shuffle.
+    // Spark no longer picks the serializer from the records' ClassTags:
+    // `minePivots` sets Kryo on its one plain shuffle, which places pivot k in
+    // partition k mod defaultParallelism.
     val in = sc.parallelize(db, 4)
+    val p = sc.defaultParallelism
     for ((name, rdd) <- Seq("dseq" -> Drivers.dSeq(sc, in, dict, piEx, 2),
-                            "lash-lite" -> LashLite.mine(sc, in, dict, 2, gamma = 1, lambda = 3)))
+                            "lash-lite" -> LashLite.mine(sc, in, dict, 2, gamma = 1, lambda = 3))) {
       assert(shuffleDeps(rdd).map(_.serializer).collect { case k: KryoSerializer => k }.size == 1, name)
+      val Seq(dep) = shuffleDeps(rdd)
+      assert(dep.aggregator.isEmpty && !dep.mapSideCombine, name)
+      assert(dep.partitioner.numPartitions == p, name)
+      for (k <- 1 to 3 * p + 1) assert(dep.partitioner.getPartition(k) == k % p, s"$name: pivot $k")
+    }
   }
 
   test("D-CAND shuffles its aggregated NFA records with Kryo") {
@@ -135,6 +141,20 @@ class DriversSpec extends SparkSpec {
     assert(dep.aggregator.isEmpty)
     assert(!dep.mapSideCombine)
     assert(dep.serializer.isInstanceOf[KryoSerializer])
+  }
+
+  test("D-CAND's reduce side merges equal NFAs from different map tasks before mining") {
+    // Five copies of one sequence, as two map tasks would ship them: one NFA per pivot with
+    // weights 2 and 3. Only their sum reaches σ = 5.
+    val patex = "(.^)[.{0,2}(.^)]{1,2}"
+    val (d, copies) = TestGen.encodeLocal(Seq.fill(5)(Array("l0", "l4", "l1", "l8")), TestGen.toyParents)
+    val sigma = 5L
+    val records = Drivers.dCandRecords(copies.head, FstCompiler.compile(patex, d), d, d.maxFrequentFid(sigma),
+                                       maxNodes = 1 << 20, minimize = true).toSeq
+    val got = records.flatMap { case (k, b) => Drivers.dCandMine(k, IndexedSeq((b, 2L), (b, 3L)), sigma) }
+    val want = BruteForce.mine(copies, patex, sigma, d)
+    assert(records.size >= 2 && want.nonEmpty)
+    assert(got.toMap == want && got.size == want.size)
   }
 
   test("D-CAND ships one record per distinct (pivot, NFA) pair of each map task") {

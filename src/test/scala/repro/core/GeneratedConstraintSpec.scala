@@ -12,7 +12,7 @@ import repro.patex.PatExPrinter
 
 /** The item-partitioned miners against brute force on generated constraints
   * and hierarchies, not only on the fixed battery. Each dataflow runs its
-  * drivers' map and per-pivot functions through
+  * drivers' per-task map and per-pivot functions through
   * [[TestGen.minePivotsLocally]], without Spark.
   */
 class GeneratedConstraintSpec extends AnyFunSuite {
@@ -31,11 +31,11 @@ class GeneratedConstraintSpec extends AnyFunSuite {
       val want = try Some(BruteForce.mine(db, fst, sigma, dict)) catch { case _: BlowUpException => None }
       Prop(want.isDefined) ==> {
         val dfs = DesqDfs.mine(db.map((_, 1L)), fst, dict, sigma, maxFid)
-        val dSeq = TestGen.minePivotsLocally(db, aggregate = false)(
-          Drivers.dSeqRecords(_, fst, dict, maxFid, rewrite = true))(
-          (k, ts) => DesqDfs.mine(ts, fst, dict, sigma, maxFid, Some(k)).iterator)
-        val dCand = TestGen.minePivotsLocally(db, aggregate = true)(
-          Drivers.dCandRecords(_, fst, dict, maxFid, maxNodes = 1 << 20, minimize = true))(
+        val dSeq = TestGen.minePivotsLocally(db)(
+          _.flatMap(Drivers.dSeqRecords(_, fst, dict, maxFid, rewrite = true)))(
+          (k, ts) => DesqDfs.mine(ts.map((_, 1L)), fst, dict, sigma, maxFid, Some(k)).iterator)
+        val dCand = TestGen.minePivotsLocally(db)(
+          Drivers.dCandTask(_, fst, dict, maxFid, maxNodes = 1 << 20, minimize = true, aggregate = true))(
           Drivers.dCandMine(_, _, sigma))
         cases += 1
         if (want.get.nonEmpty) nonEmpty += 1
@@ -57,8 +57,8 @@ class GeneratedConstraintSpec extends AnyFunSuite {
       val (dict, db) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 10, maxLen = 7), parents)
       val want = BruteForce.mine(db, Constraints.t3(sigma, gamma, lambda).patex, sigma, dict)
         .filter(_._1.length >= 2)
-      val lash = TestGen.minePivotsLocally(db, aggregate = false)(
-        LashLite.records(_, dict, dict.maxFrequentFid(sigma), gamma))(
+      val lash = TestGen.minePivotsLocally(db)(
+        _.flatMap(LashLite.records(_, dict, dict.maxFrequentFid(sigma), gamma)))(
         LashLite.minePivot(_, _, dict, sigma, gamma, lambda))
       if (want.nonEmpty) nonEmpty += 1
       Prop(lash == want) :| s"T3($sigma,$gamma,$lambda) seed=$seed hierarchy=$parents: " +

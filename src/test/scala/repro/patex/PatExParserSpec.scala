@@ -139,6 +139,11 @@ class PatExParserSpec extends AnyFunSuite {
   test("errors: dangling operator") { intercept[Exception](p("*a")) }
   test("errors: empty alternation branch") { intercept[Exception](p("a|")) }
   test("errors: bad repetition bounds") { intercept[Exception](p("a{3,1}")) }
+  test("errors: a repetition bound past Int range is a ParseException at the bound") {
+    val e = intercept[PatExParser.ParseException](p("a{2,99999999999}"))
+    assert(e.pos == 4)
+    assert(intercept[PatExParser.ParseException](p("a{99999999999}")).pos == 2)
+  }
   test("errors: unterminated quote") { intercept[Exception](p("('abc")) }
   test("errors: trailing garbage") { intercept[Exception](p("a)")) }
 }
