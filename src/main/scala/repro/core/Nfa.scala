@@ -117,7 +117,7 @@ object Nfa {
     private val s = fst.numStates
     private val rows = Array.tabulate(n)(i => fst.steps(t(i), dict))
     private val rowOffset = rows.scanLeft(0)(_ + _.to.length) // first step index of position i
-    private val labels = new LabelInterner
+    private val labels = new SliceInterner
     private var nodes = 0 // expanded over all pivots, for the cap
 
     private var k = 0

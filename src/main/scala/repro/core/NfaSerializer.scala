@@ -16,13 +16,14 @@ import scala.collection.mutable
   */
 object NfaSerializer {
 
-  /** Byte-array key with value semantics; its hash is computed once. */
+  /** Byte-array key with value semantics; its hash is cached on first use, not serialized. */
   final class Bytes(val bytes: Array[Byte]) extends Serializable {
     override def equals(o: Any): Boolean = o match {
       case b: Bytes => java.util.Arrays.equals(bytes, b.bytes)
       case _        => false
     }
-    override val hashCode: Int = java.util.Arrays.hashCode(bytes)
+    @transient private lazy val hash = java.util.Arrays.hashCode(bytes)
+    override def hashCode: Int = hash
     def size: Int = bytes.length
   }
 
@@ -84,7 +85,7 @@ object NfaSerializer {
     */
   def deserialize(b: Bytes): Nfa = {
     val in = new VarintReader(b.bytes)
-    val labels = new LabelInterner
+    val labels = new SliceInterner
     val finals = new mutable.ArrayBuilder.ofBoolean
     finals += false // state 0 = root, never final here
     var triples = new Array[Int](48)

@@ -79,9 +79,6 @@ final class Dictionary(
     }
     lo
   }
-
-  /** Decode an encoded sequence to item names (for output/rendering). */
-  def decode(seq: Array[Int]): Seq[String] = seq.toSeq.map(name)
 }
 
 object Dictionary {

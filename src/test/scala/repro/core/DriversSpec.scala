@@ -135,6 +135,24 @@ class DriversSpec extends SparkSpec {
     assert(!new String(bytes.toByteArray, "ISO-8859-1").contains("repro.core.NfaSerializer"))
   }
 
+  test("D-CAND's NFA records ship no cached hash, and a round trip keeps equality and hash") {
+    val Seq(dep) = shuffleDeps(Drivers.dCand(sc, sc.parallelize(db, 4), dict, piEx, 2))
+    def recordSize[V: scala.reflect.ClassTag](v: V): Int = {
+      val bytes = new java.io.ByteArrayOutputStream
+      val out = dep.serializer.newInstance().serializeStream(bytes)
+      for (_ <- 1 to 1000) { out.writeKey[Int](7); out.writeValue[(V, Long)]((v, 1L)) }
+      out.close()
+      bytes.size / 1000
+    }
+    val raw = Array.fill[Byte](40)(1)
+    val b = new NfaSerializer.Bytes(raw.clone)
+    assert(b.hashCode == java.util.Arrays.hashCode(raw))
+    assert(recordSize(b) <= recordSize(raw) + 1)
+    val ser = dep.serializer.newInstance()
+    val back = ser.deserialize[NfaSerializer.Bytes](ser.serialize(b))
+    assert(back == b && back.hashCode == b.hashCode)
+  }
+
   test("D-CAND aggregates without Spark's combiner: a plain shuffle, no map-side combine") {
     val rdd = Drivers.dCand(sc, sc.parallelize(db, 4), dict, piEx, 2)
     val Seq(dep) = shuffleDeps(rdd)

@@ -13,7 +13,7 @@ object NfaGen {
     * by content.
     */
   def nfa(isFinal: Array[Boolean], edges: Array[Array[(Array[Int], Int)]]): Nfa = {
-    val labels = new LabelInterner
+    val labels = new SliceInterner
     new Nfa(isFinal, edges.map(_.flatMap { case (l, t) => Array(labels.intern(l, 0, l.length), t) }), labels.table)
   }
 
@@ -39,7 +39,7 @@ object NfaGen {
     * [[NfaReference.buildForSequence]] builds one pivot's trie.
     */
   def trieOf(runs: Seq[Seq[Array[Int]]]): Nfa = {
-    val forest = new TrieForest(new LabelInterner)
+    val forest = new TrieForest(new SliceInterner)
     val root = forest.newRoot()
     for (run <- runs) {
       var node = root

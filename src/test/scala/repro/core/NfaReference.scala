@@ -19,7 +19,7 @@ object NfaReference {
     */
   def buildForSequence(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int,
                        minimize: Boolean = true): Map[Int, Nfa] = {
-    val forest = new TrieForest(new LabelInterner)
+    val forest = new TrieForest(new SliceInterner)
     val rootOf = new LongIntMap // pivot -> trie root
     val pivots = new mutable.ArrayBuilder.ofInt
     FstSimulator.foreachAcceptingRun(t, fst, dict) { run =>
@@ -51,11 +51,11 @@ object NfaReference {
 }
 
 /** The tries of one input sequence, one per pivot, in one node store. Edge
-  * labels are ids of a [[LabelInterner]] shared by all of them. A node's
+  * labels are ids of a [[SliceInterner]] shared by all of them. A node's
   * children are keyed by `node << 32 | labelId` in a primitive map and kept
   * in insertion order as a sibling list.
   */
-final class TrieForest(val labels: LabelInterner) {
+final class TrieForest(val labels: SliceInterner) {
   private var n = 0
   private var isFinal = new Array[Boolean](16)
   private var firstChild = new Array[Int](16)
