@@ -15,6 +15,7 @@ object PrefixSpanRunner {
 
   def mine(sequences: RDD[Array[Int]], sigma: Long, lambda: Int): RDD[(Pattern, Long)] = {
     val n = sequences.count()
+    if (math.max(sigma, 1) > n) return sequences.sparkContext.emptyRDD[(Pattern, Long)]
     val asItemsets = sequences.map(_.map(Array(_)))
     // minSupport is a fraction in MLlib; shave epsilon so ties at σ survive
     // floating-point rounding.

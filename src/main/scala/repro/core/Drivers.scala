@@ -181,7 +181,7 @@ object Drivers {
           .iterator.map(c => (Pattern.fromList(c), 1L))
       }
       .reduceByKey(_ + _)
-      .filter { case (s, f) =>
+      .filter { case (_, f) =>
         // NAIVE counts candidates with infrequent items too; they can never be
         // frequent (antimonotonicity), so the threshold filter drops them.
         f >= sigma

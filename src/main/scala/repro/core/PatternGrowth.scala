@@ -75,7 +75,7 @@ private[repro] abstract class PatternGrowth(weights: Array[Long], sigma: Long, p
         val w = item.toInt
         prefix += w
         val childHasPivot = hasPivot || w == pivot
-        if (support >= sigma && (pivot == 0 || childHasPivot))
+        if (support >= math.max(sigma, 1) && (pivot == 0 || childHasPivot))
           results(Pattern(prefix.toArray)) = support
         expand(sortedDistinct(entries), childHasPivot)
         prefix.remove(prefix.length - 1)

@@ -9,53 +9,23 @@ import scala.collection.mutable
   *
   * Finds the pivot items `K(T)` of an input sequence in time linear in `|T|`
   * (for a fixed FST) on the position–state grid of the paper, with two
-  * integer passes in place of its `⊕` set DP, and computes the first/last
-  * relevant position per pivot for the leading/trailing rewrite.
+  * integer passes in place of its `⊕` set DP, and trims the sequence per pivot.
   *
   * Items are fids; fid 0 is ε and is strictly smaller than every item, so an
   * ε-only output set needs no special casing: its floor is 0.
   */
 object PivotSearch {
 
-  /** Drops repeats from a sorted array, in place when there are any. */
-  private def distinctSorted(a: Array[Int]): Array[Int] = {
-    if (a.length < 2) return a
-    var n = 1
-    var i = 1
-    while (i < a.length) {
-      if (a(i) != a(n - 1)) { a(n) = a(i); n += 1 }
-      i += 1
-    }
-    if (n == a.length) a else java.util.Arrays.copyOf(a, n)
-  }
-
-  /** Result of the grid passes for one input sequence. Positions are 0-based.
-    * A surviving grid edge is one on a σ-feasible accepting run: the forward
-    * pass reaches its source and the backward pass leaves its target through
-    * output sets that each have a frequent item or ε.
+  /** Result of the grid passes for one input sequence. Positions are 0-based. A surviving
+    * grid edge is one on a σ-feasible accepting run: the forward pass reaches its source and
+    * the backward pass leaves its target through output sets that each have a frequent item or ε.
     *
-    * @param pivots        sorted `K(T)` (σ-filtered, ε removed)
-    * @param stateChange   per position: does any surviving grid edge change state?
-    * @param minOutput     per position: smallest frequent non-ε item producible
-    *                      by any surviving grid edge (Int.MaxValue if none)
+    * @param pivots    sorted `K(T)` (σ-filtered, ε removed)
+    * @param minPivot  per position, the smallest pivot it is relevant for (Sec. V-B): 0
+    *                  if a surviving edge there changes state, else the smallest frequent
+    *                  non-ε item such an edge outputs (Int.MaxValue if none)
     */
-  final case class GridResult(
-      pivots: Array[Int],
-      stateChange: Array[Boolean],
-      minOutput: Array[Int]
-  ) {
-    /** First/last relevant position for pivot `k` (Sec. V-B): relevant means
-      * state-changing or able to produce output usable in a pivot-k sequence.
-      */
-    def bounds(k: Int): (Int, Int) = {
-      val n = stateChange.length
-      var first = 0
-      while (first < n && !(stateChange(first) || minOutput(first) <= k)) first += 1
-      var last = n - 1
-      while (last >= 0 && !(stateChange(last) || minOutput(last) <= k)) last -= 1
-      if (first > last) (0, n - 1) else (first, last) // degenerate: keep whole
-    }
-  }
+  final case class GridResult(pivots: Array[Int], minPivot: Array[Int])
 
   /** The position–state grid (Fig. 5b) for sequence `t` in closed form.
     * Folding Th. 1's `⊕` over a run's σ-filtered output sets keeps exactly
@@ -75,16 +45,14 @@ object PivotSearch {
   def grid(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): GridResult = {
     val n = t.length
     val s = fst.numStates
-    val cap = if (maxFid < 0) Int.MaxValue else maxFid
-    val back = FstSimulator.floors(t, fst, dict, cap)
+    val back = FstSimulator.floors(t, fst, dict, maxFid)
     // F(i, q) for the current position i and the next one.
     var fwd = Array.fill(s)(Int.MaxValue)
     var fwdNext = new Array[Int](s)
     fwd(fst.initial) = 0
 
     val pivots = new mutable.ArrayBuilder.ofInt
-    val stateChange = new Array[Boolean](n)
-    val minOutput = Array.fill(n)(Int.MaxValue)
+    val minPivot = Array.fill(n)(Int.MaxValue)
 
     var i = 0
     while (i < n) {
@@ -99,22 +67,20 @@ object PivotSearch {
           while (j < row.start(q + 1)) {
             val to = row.to(j)
             val o = row.out(j)
-            if (o(0) <= cap) {
+            if (o(0) <= maxFid) {
               val f = math.max(fwd(q), o(0))
               if (f < fwdNext(to)) fwdNext(to) = f
               val lo = math.max(f, back(next + to))
               if (lo < Int.MaxValue) {
                 // A surviving edge: its frequent non-ε items >= lo are pivots.
                 var m = 0
-                while (m < o.length && o(m) <= cap) {
+                while (m < o.length && o(m) <= maxFid) {
                   if (o(m) >= lo && o(m) != 0) pivots += o(m)
                   m += 1
                 }
-                // Relevance bookkeeping for the rewrite (Sec. V-B).
-                if (to != q) stateChange(i) = true
-                val firstNonEps = if (o(0) == 0) { if (m > 1) o(1) else 0 } else o(0)
-                if (firstNonEps != 0 && firstNonEps < minOutput(i))
-                  minOutput(i) = firstNonEps
+                // Relevance for the rewrite; m > 1 means o(1) is frequent.
+                val rel = if (to != q) 0 else if (o(0) != 0) o(0) else if (m > 1) o(1) else Int.MaxValue
+                if (rel < minPivot(i)) minPivot(i) = rel
               }
             }
             j += 1
@@ -126,16 +92,24 @@ object PivotSearch {
       i += 1
     }
 
+    // Sorted, then deduplicated in place by a plain loop: `distinct` boxes every raw entry.
     val ks = pivots.result()
     java.util.Arrays.sort(ks)
-    GridResult(distinctSorted(ks), stateChange, minOutput)
+    var d, j = 0
+    while (j < ks.length) { if (d == 0 || ks(j) != ks(d - 1)) { ks(d) = ks(j); d += 1 }; j += 1 }
+    GridResult(if (d == ks.length) ks else java.util.Arrays.copyOf(ks, d), minPivot)
   }
 
   /** The rewritten representation `ρk(T)`: `t` with leading and trailing
-    * positions irrelevant for pivot `k` dropped (Sec. V-B).
+    * positions irrelevant for pivot `k` dropped (Sec. V-B). `t` itself when
+    * nothing is dropped or no position is relevant.
     */
   def rewrite(t: Array[Int], g: GridResult, k: Int): Array[Int] = {
-    val (first, last) = g.bounds(k)
-    if (first == 0 && last == t.length - 1) t else t.slice(first, last + 1)
+    val n = t.length
+    var first = 0
+    while (first < n && g.minPivot(first) > k) first += 1
+    var last = n - 1
+    while (last > first && g.minPivot(last) > k) last -= 1
+    if (first == n || (first == 0 && last == n - 1)) t else t.slice(first, last + 1)
   }
 }

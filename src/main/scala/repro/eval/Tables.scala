@@ -1,7 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{BruteForce, DesqDfs, Drivers, Pattern}
+import repro.core.{BruteForce, DesqDfs, Drivers}
 import repro.data.{SeqDB, SeqData}
 import repro.fst.{BlowUpException, FstCompiler}
 import repro.util.Metrics

@@ -40,4 +40,14 @@ class PrefixSpanSpec extends SparkSpec {
     val res = PrefixSpanRunner.mine(rdd, 3, 2).collect()
     assert(res.forall(_._1.length <= 2))
   }
+
+  test("σ above |D| and an empty input give no patterns, as in D-SEQ") {
+    val (d, db) = flatDb(94, 10)
+    for ((input, sigma) <- Seq((db, 11L), (IndexedSeq.empty[Array[Int]], 1L))) {
+      val rdd = spark.sparkContext.parallelize(input, 4)
+      val mllib = PrefixSpanRunner.mine(rdd, sigma, 2).collect().toMap
+      val dseq = Drivers.dSeq(spark.sparkContext, rdd, d, t1(2), sigma).collect().toMap
+      assert(mllib == dseq && mllib.isEmpty, s"n=${input.size} sigma=$sigma")
+    }
+  }
 }

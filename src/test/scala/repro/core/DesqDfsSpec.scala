@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{Ex, TestGen}
+import repro.TestGen
 import repro.Ex._
 import repro.fst.{Fst, FstCompiler}
 

@@ -5,7 +5,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.serializer.KryoSerializer
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
-import repro.{Ex, SparkSpec, TestGen}
+import repro.{SparkSpec, TestGen}
 import repro.baselines.LashLite
 import repro.Ex._
 import repro.fst.{BlowUpException, FstCompiler}
@@ -58,6 +58,19 @@ class DriversSpec extends SparkSpec {
     val results = Seq("dseq", "dcand", "naive", "seminaive").map(a => run(a, dbr, d, patex, 5))
     assert(results.distinct.size == 1)
     assert(results.head.nonEmpty)
+  }
+
+  test("at σ = 0 every miner equals brute force: no pattern with support 0") {
+    val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(61), TestGen.toyParents)
+    val patex = "(.)(.)"
+    val want = BruteForce.mine(dbr, patex, 0, d)
+    assert(want.nonEmpty && want.values.forall(_ >= 1))
+    val fst = FstCompiler.compile(patex, d)
+    assert(DesqDfs.mine(dbr.map((_, 1L)), fst, d, 0, d.maxFrequentFid(0)) == want, "desq-dfs")
+    for (algo <- Seq("dseq", "dcand", "naive", "seminaive"))
+      assert(run(algo, dbr, d, patex, 0) == want, algo)
+    val lash = LashLite.mine(sc, sc.parallelize(dbr, 4), d, 0, gamma = 1, lambda = 3).collect().toMap
+    assert(lash == BruteForce.mine(dbr, "(.^)[.{0,1}(.^)]{1,2}", 0, d).filter(_._1.length >= 2), "lash-lite")
   }
 
   test("D-SEQ options (no rewrite, no early stop) do not change results") {

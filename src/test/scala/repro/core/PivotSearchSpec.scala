@@ -1,9 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{Ex, TestGen}
+import repro.TestGen
 import repro.Ex._
-import repro.fst.{Fst, FstCompiler}
+import repro.fst.{Fst, FstCompiler, InPred, OutOp, Transition}
 
 import java.util.Random
 
@@ -76,13 +76,13 @@ class PivotSearchSpec extends AnyFunSuite {
   }
 
   test("K(T2) = {a1, e} without σ-filter (Sec V-A grid example)") {
-    assert(grid(T2, fst, dict, -1).pivots.toSet == Set(a1, e))
+    assert(grid(T2, fst, dict, dict.size).pivots.toSet == Set(a1, e))
   }
 
   test("K(T3) is empty, K(T4) = {a2} unfiltered / empty with σ=2, K(T5) = {a1}") {
     val maxFid = dict.maxFrequentFid(2)
     assert(grid(T3, fst, dict, maxFid).pivots.isEmpty)
-    assert(grid(T4, fst, dict, -1).pivots.toSet == Set(a2))
+    assert(grid(T4, fst, dict, dict.size).pivots.toSet == Set(a2))
     assert(grid(T4, fst, dict, maxFid).pivots.isEmpty)
     assert(grid(T5, fst, dict, maxFid).pivots.toSet == Set(a1))
   }
@@ -121,10 +121,42 @@ class PivotSearchSpec extends AnyFunSuite {
     val g = grid(t, f, dict, maxFid)
     assert(g.pivots.toSeq == Seq(a1))
     assert(rewrite(t, g, a1).toSeq == Seq(a1))
-    assert(rewrite(t, grid(t, f, dict, -1), a1).toSeq == t.toSeq, "without σ the d e branch is feasible")
+    assert(rewrite(t, grid(t, f, dict, dict.size), a1).toSeq == t.toSeq, "without σ the d e branch is feasible")
     val before = repro.fst.FstSimulator.candidates(t, f, dict, maxFid).filter(_.max == a1)
     val after = repro.fst.FstSimulator.candidates(rewrite(t, g, a1), f, dict, maxFid).filter(_.max == a1)
     assert(before == Set(List(a1)) && after == before)
+  }
+
+  test("minPivot(T2) under πex with σ=2: 0 where a run changes state, MaxValue where it only skips") {
+    // e e a1 e a1 e b: every e is only skipped by a `.*` loop (e is
+    // infrequent, so `(.^)` cannot output it); (A) can take either a1 and (b)
+    // takes the b, each changing state.
+    val g = grid(T2, fst, dict, dict.maxFrequentFid(2))
+    val M = Int.MaxValue
+    assert(g.minPivot.toSeq == Seq(M, M, 0, M, 0, M, 0))
+  }
+
+  test("rewrite returns t itself when the window is the whole sequence") {
+    val g = grid(T5, fst, dict, dict.maxFrequentFid(2))
+    assert(rewrite(T5, g, a1) eq T5)
+  }
+
+  test("rewrite trims trailing positions: ρa1(a1 b e e) = a1 b") {
+    val t = Array(a1, b, e, e)
+    val g = grid(t, fst, dict, dict.maxFrequentFid(2))
+    assert(g.pivots.toSeq == Seq(a1))
+    assert(rewrite(t, g, a1).toSeq == Seq(a1, b))
+  }
+
+  test("per-item relevance trims both ends; a k below every relevant position keeps t itself") {
+    // One final state that skips any item or outputs c: no edge changes state.
+    val f = new Fst(1, 0, Array(true), Array(
+      Transition(0, InPred.AnyIn, OutOp.EpsOut, 0), Transition(0, InPred.ExactIn(c), OutOp.SelfOut, 0)))
+    val g = grid(T1, f, dict, dict.maxFrequentFid(2))
+    val M = Int.MaxValue
+    assert(g.minPivot.toSeq == Seq(M, c, M, c, M))
+    assert(rewrite(T1, g, c).toSeq == Seq(c, d, c))
+    assert(rewrite(T1, g, d) eq T1)
   }
 
   test("rewrite never drops relevant positions: candidates for the pivot agree") {

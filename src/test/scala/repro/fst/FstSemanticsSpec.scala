@@ -1,7 +1,6 @@
 package repro.fst
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.Ex
 import repro.Ex._
 
 /** FST compilation and simulation against the paper's published expected
