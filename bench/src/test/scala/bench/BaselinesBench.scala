@@ -28,10 +28,10 @@ class BaselinesBench extends BenchBase {
       f"N5(50): SEMI-NAIVE ${semiN5 / 1024.0}%8.0f KB  D-SEQ ${dseqN5 / 1024.0}%8.0f KB  D-CAND ${dcandN5 / 1024.0}%8.0f KB%n" +
       f"A2(5):  SEMI-NAIVE ${semiA2 / 1024.0}%8.0f KB  D-SEQ ${dseqA2 / 1024.0}%8.0f KB  D-CAND ${dcandA2 / 1024.0}%8.0f KB")
     // D-SEQ's rewritten-sequence representation always wins here; D-CAND's
-    // NFA representation wins on longer sequences with shared structure (A2).
-    // On very short sentences (N5) it shuffles only a little less than
-    // SEMI-NAIVE (3 226 vs 4 188 KB on 4 partitions): our sentences are ~3x
-    // shorter than NYT's, so an explicit candidate costs little more than its NFA.
+    // NFA representation wins most on longer sequences with shared structure (A2).
+    // On very short sentences (N5) it shuffles about half of SEMI-NAIVE's bytes
+    // (2 141 vs 4 188 KB on 4 partitions): our sentences are ~3x shorter than
+    // NYT's, so an explicit candidate costs little more than its NFA.
     assert(dseqN5 < semiN5, s"D-SEQ $dseqN5 vs SEMI-NAIVE $semiN5 on N5")
     assert(dseqA2 < semiA2, s"D-SEQ $dseqA2 vs SEMI-NAIVE $semiA2 on A2")
     assert(dcandA2 < semiA2, s"D-CAND $dcandA2 vs SEMI-NAIVE $semiA2 on A2")

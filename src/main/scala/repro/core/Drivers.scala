@@ -22,8 +22,8 @@ object Drivers {
   /** D-SEQ (Sec. V): item-based partitioning with sequence representation.
     * The map phase finds the pivot items `K(T)` of every input sequence with
     * the position–state grid and ships the leading/trailing-trimmed rewrite
-    * `ρk(T)` to each pivot partition; the reduce phase runs pivot-restricted
-    * DESQ-DFS with pivot pruning.
+    * `ρk(T)` to each pivot partition as varint bytes; the reduce phase runs
+    * pivot-restricted DESQ-DFS with pivot pruning.
     */
   def dSeq(
       sc: SparkContext,
@@ -43,16 +43,28 @@ object Drivers {
     val bcFst = sc.broadcast(fst)
     // 99–100% of the `(k, ρk(T))` records are distinct; a weight would only grow them.
     minePivots(sequences)(_.flatMap(dSeqRecords(_, bcFst.value, bcDict.value, maxFid, rewrite)))(
-      (k, seqs) => DesqDfs.mine(seqs.map((_, 1L)), bcFst.value, bcDict.value, sigma, maxFid, Some(k), earlyStop)
-        .iterator)
+      dSeqMine(_, _, bcFst.value, bcDict.value, sigma, maxFid, earlyStop))
   }
 
-  /** D-SEQ's map side: `(k, ρk(t))`, or `(k, t)` without `rewrite`, per pivot `k` of `t`. */
+  /** D-SEQ's map side: `(k, ρk(t))`, or `(k, t)` without `rewrite`, per pivot `k` of `t`, with
+    * the fids written as [[Varint]]s. The f-list gives frequent items the smallest fids, so most
+    * items take one or two bytes. Pivots whose rewrite is `t` itself share one encoding of `t`.
+    */
   private[repro] def dSeqRecords(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int,
-                                 rewrite: Boolean): Iterator[(Int, Array[Int])] = {
+                                 rewrite: Boolean): Iterator[(Int, Array[Byte])] = {
     val g = PivotSearch.grid(t, fst, dict, maxFid)
-    g.pivots.iterator.map(k => (k, if (rewrite) PivotSearch.rewrite(t, g, k) else t))
+    lazy val whole = Varint.encode(t)
+    g.pivots.iterator.map { k =>
+      val r = if (rewrite) PivotSearch.rewrite(t, g, k) else t
+      (k, if (r eq t) whole else Varint.encode(r))
+    }
   }
+
+  /** D-SEQ's reduce side: pivot-restricted DESQ-DFS over pivot `k`'s records, each decoded once. */
+  private[repro] def dSeqMine(k: Int, records: IndexedSeq[Array[Byte]], fst: Fst, dict: Dictionary,
+                              sigma: Long, maxFid: Int, earlyStop: Boolean): Iterator[(Pattern, Long)] =
+    DesqDfs.mine(records.map(b => (Varint.decode(b), 1L)), fst, dict, sigma, maxFid, Some(k), earlyStop)
+      .iterator
 
   /** D-CAND (Sec. VI): item-based partitioning with candidate representation.
     * The map phase encodes each sequence's pivot-k candidates as a minimized

@@ -8,11 +8,14 @@ import scala.collection.mutable
   * compression rules: (1) a transition with no explicit source starts at the
   * target of the previous transition; (2) a transition with no explicit target
   * ends in a fresh state. Additionally a FINAL marker flags a fresh final
-  * state on first visit. The token stream is varint-encoded; label sets are
-  * delta-encoded.
+  * state on first visit. The token stream is [[Varint]]-encoded; label sets are
+  * delta-encoded, and each label is written in full only the first time the
+  * NFA uses it: a repeat names it by its index among the NFA's labels, in
+  * first-write order.
   *
   * Token tags: 0 = label (count, first item, gaps...), 1 = explicit source
-  * (state id), 2 = explicit target (state id), 3 = final marker.
+  * (state id), 2 = explicit target (state id), 3 = final marker, 4 = label
+  * back-reference (index of a label written in full earlier).
   */
 object NfaSerializer {
 
@@ -31,33 +34,37 @@ object NfaSerializer {
   private final val TagSrc = 1
   private final val TagTgt = 2
   private final val TagFinal = 3
+  private final val TagLabelRef = 4
 
   def serialize(nfa: Nfa): Bytes = {
     val out = new mutable.ArrayBuilder.ofByte
-    def put(token: Int): Unit = { // one varint
-      require(token >= 0, "varint requires non-negative tokens")
-      var x = token
-      while ((x & ~0x7F) != 0) { out += ((x & 0x7F) | 0x80).toByte; x >>>= 7 }
-      out += x.toByte
-    }
+    def put(token: Int): Unit = Varint.put(out, token)
     val visitId = Array.fill(nfa.numStates)(-1) // original state -> DFS id
     visitId(0) = 0
     var visited = 1
     var cursor = 0 // DFS id of the previous transition's target (start: root)
+    val labelIndex = Array.fill(nfa.labels.length)(-1) // label id -> first-write index
+    var written = 0
 
     def dfs(q: Int): Unit = {
       val qid = visitId(q)
       val es = nfa.edges(q)
       var j = 0
       while (j < es.length) {
-        val label = nfa.labels(es(j))
+        val id = es(j)
         val t = es(j + 1)
         j += 2
         if (cursor != qid) { put(TagSrc); put(qid) }
-        put(TagLabel)
-        put(label.length)
-        var prev = 0
-        for (w <- label) { put(w - prev); prev = w }
+        if (labelIndex(id) >= 0) { put(TagLabelRef); put(labelIndex(id)) }
+        else {
+          labelIndex(id) = written
+          written += 1
+          val label = nfa.labels(id)
+          put(TagLabel)
+          put(label.length)
+          var prev = 0
+          for (w <- label) { put(w - prev); prev = w }
+        }
         if (visitId(t) >= 0) {
           put(TagTgt); put(visitId(t))
           cursor = visitId(t)
@@ -78,14 +85,17 @@ object NfaSerializer {
   }
 
   /** The NFA of `b`; labels are interned on decode, so equal sets share an id.
+    * A back-reference takes the id its label got when it was written in full.
     *
     * One pass reads the varints in place and collects each edge as a
     * `src, labelId, target` triple in stream order; one counting pass then
     * buckets the triples into each state's exact-size edge array.
     */
   def deserialize(b: Bytes): Nfa = {
-    val in = new VarintReader(b.bytes)
+    val in = new Varint.Reader(b.bytes)
     val labels = new SliceInterner
+    var written = new Array[Int](8) // label ids in first-write order
+    var numWritten = 0
     val finals = new mutable.ArrayBuilder.ofBoolean
     finals += false // state 0 = root, never final here
     var triples = new Array[Int](48)
@@ -95,13 +105,28 @@ object NfaSerializer {
     while (in.hasNext) {
       var src = cursor
       if (in.peekTag == TagSrc) { in.skipTag(); src = in.next() }
-      require(in.peekTag == TagLabel, s"expected label token at byte ${in.pos}")
-      in.skipTag()
-      val len = in.next()
-      if (len > label.length) label = new Array[Int](math.max(len, 2 * label.length))
-      var prev = 0
-      var j = 0
-      while (j < len) { prev += in.next(); label(j) = prev; j += 1 } // gaps to items
+      val id =
+        if (in.hasNext && in.peekTag == TagLabelRef) {
+          in.skipTag()
+          val at = in.pos
+          val i = in.next()
+          require(i >= 0 && i < numWritten,
+            s"label back-reference $i at byte $at, but only $numWritten labels were written before it")
+          written(i)
+        } else {
+          require(in.hasNext && in.peekTag == TagLabel, s"expected label token at byte ${in.pos}")
+          in.skipTag()
+          val len = in.next()
+          if (len > label.length) label = new Array[Int](math.max(len, 2 * label.length))
+          var prev = 0
+          var j = 0
+          while (j < len) { prev += in.next(); label(j) = prev; j += 1 } // gaps to items
+          val interned = labels.intern(label, 0, len)
+          if (numWritten == written.length) written = java.util.Arrays.copyOf(written, 2 * numWritten)
+          written(numWritten) = interned
+          numWritten += 1
+          interned
+        }
       val tgt =
         if (in.hasNext && in.peekTag == TagTgt) { in.skipTag(); in.next() }
         else {
@@ -112,7 +137,7 @@ object NfaSerializer {
         }
       if (used + 3 > triples.length) triples = java.util.Arrays.copyOf(triples, 2 * triples.length)
       triples(used) = src
-      triples(used + 1) = labels.intern(label, 0, len)
+      triples(used + 1) = id
       triples(used + 2) = tgt
       used += 3
       cursor = tgt
@@ -134,27 +159,5 @@ object NfaSerializer {
       i += 3
     }
     new Nfa(finals.result(), edges, labels.table)
-  }
-
-  // ------------------------------------------------------------------ varint
-
-  /** Reads varint tokens in place. Tags are below 0x80, so a tag is one byte. */
-  private final class VarintReader(bs: Array[Byte]) {
-    var pos = 0
-    def hasNext: Boolean = pos < bs.length
-    def peekTag: Int = bs(pos)
-    def skipTag(): Unit = pos += 1
-    def next(): Int = {
-      var x = 0
-      var shift = 0
-      var b = 0x80
-      while ((b & 0x80) != 0) {
-        b = bs(pos)
-        pos += 1
-        x |= (b & 0x7F) << shift
-        shift += 7
-      }
-      x
-    }
   }
 }

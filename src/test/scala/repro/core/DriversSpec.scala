@@ -133,6 +133,19 @@ class DriversSpec extends SparkSpec {
     }
   }
 
+  test("D-SEQ's shuffle carries each ρk(T) as varint bytes, one record per (sequence, pivot)") {
+    val Seq(dep) = shuffleDeps(Drivers.dSeq(sc, sc.parallelize(db, 4), dict, piEx, 2))
+    val shipped = dep.rdd.collect().map(r => (r._1.asInstanceOf[Int], r._2.asInstanceOf[AnyRef]))
+    assert(shipped.nonEmpty && shipped.forall(_._2.isInstanceOf[Array[Byte]]))
+    val fst = FstCompiler.compile(piEx, dict)
+    val rewrites = db.flatMap { t =>
+      val g = PivotSearch.grid(t, fst, dict, dict.maxFrequentFid(2))
+      g.pivots.map(k => s"$k: ${PivotSearch.rewrite(t, g, k).mkString(" ")}")
+    }
+    val decoded = shipped.map { case (k, v) => s"$k: ${Varint.decode(v.asInstanceOf[Array[Byte]]).mkString(" ")}" }
+    assert(decoded.sorted.toSeq == rewrites.sorted)
+  }
+
   test("D-CAND shuffles its aggregated NFA records with Kryo") {
     val rdd = Drivers.dCand(sc, sc.parallelize(db, 4), dict, piEx, 2)
     assert(shuffleDeps(rdd).map(_.serializer).collect { case k: KryoSerializer => k }.size == 1)

@@ -33,7 +33,7 @@ class GeneratedConstraintSpec extends AnyFunSuite {
         val dfs = DesqDfs.mine(db.map((_, 1L)), fst, dict, sigma, maxFid)
         val dSeq = TestGen.minePivotsLocally(db)(
           _.flatMap(Drivers.dSeqRecords(_, fst, dict, maxFid, rewrite = true)))(
-          (k, ts) => DesqDfs.mine(ts.map((_, 1L)), fst, dict, sigma, maxFid, Some(k)).iterator)
+          Drivers.dSeqMine(_, _, fst, dict, sigma, maxFid, earlyStop = true))
         val dCand = TestGen.minePivotsLocally(db)(
           Drivers.dCandTask(_, fst, dict, maxFid, maxNodes = 1 << 20, minimize = true, aggregate = true))(
           Drivers.dCandMine(_, _, sigma))

@@ -121,20 +121,45 @@ class NfaSpec extends AnyFunSuite {
   }
 
   test("golden bytes: serialized running-example NFAs at pivot a1 (σ=2) are pinned") {
-    // Recorded from the List/Set-keyed trie and minimizer; the serialized NFA
-    // is D-CAND's aggregation key, so it must not drift.
+    // The List/Set-keyed trie and minimizer's NFAs, in the format with label
+    // back-references: each NFA's second {b} edge is `4, i`, where `i` is
+    // {b}'s index among the labels written in full. The serialized NFA is
+    // D-CAND's aggregation key, so it must not drift.
     val maxFid = dict.maxFrequentFid(2)
     val golden = Seq(
-      (T1, true, Seq(0, 1, 4, 0, 1, 3, 0, 1, 1, 3, 1, 1, 0, 1, 1, 2, 3)),
-      (T1, false, Seq(0, 1, 4, 0, 1, 3, 0, 1, 1, 3, 1, 1, 0, 1, 1, 3)),
-      (T2, true, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 0, 1, 1, 2, 2)),
-      (T2, false, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 0, 1, 1, 3)),
-      (T5, true, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 0, 1, 1, 2, 2)),
-      (T5, false, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 0, 1, 1, 3)))
+      (T1, true, Seq(0, 1, 4, 0, 1, 3, 0, 1, 1, 3, 1, 1, 4, 2, 2, 3)),
+      (T1, false, Seq(0, 1, 4, 0, 1, 3, 0, 1, 1, 3, 1, 1, 4, 2, 3)),
+      (T2, true, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 4, 1, 2, 2)),
+      (T2, false, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 4, 1, 3)),
+      (T5, true, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 4, 1, 2, 2)),
+      (T5, false, Seq(0, 1, 4, 0, 1, 1, 3, 1, 1, 0, 2, 2, 2, 4, 1, 3)))
     for ((t, minimize, bytes) <- golden) {
       val nfa = Nfa.buildForSequence(t, fst, dict, maxFid, minimize = minimize)(a1)
       assert(NfaSerializer.serialize(nfa).bytes.toSeq == bytes.map(_.toByte),
         s"${t.map(dict.name).mkString(" ")} minimize=$minimize")
+    }
+  }
+
+  test("a repeated label is written in full once, then as a back-reference to the same label id") {
+    val ab = Array(b, A) // a two-item label on three edges
+    val nfa = NfaGen.nfa(Array(false, false, false, true, true), Array(
+      Array((ab, 1), (Array(d), 2)), Array((ab, 3)), Array((ab, 4)), Array(), Array()))
+    val bytes = NfaSerializer.serialize(nfa)
+    // {b,A} in full (index 0); `4, 0` and final; back to the root; {d} in full (index 1); `4, 0` and final
+    assert(bytes.bytes.toSeq == Seq(0, 2, b, A - b, 4, 0, 3, 1, 0, 0, 1, d, 4, 0, 3).map(_.toByte))
+    val rt = NfaSerializer.deserialize(bytes)
+    assert(NfaGen.language(rt) == NfaGen.language(nfa))
+    val abEdges = Seq(rt.edges(0)(0), rt.edges(1)(0), rt.edges(3)(0)) // visit order: 0, 1, 3, 2, 4
+    assert(abEdges.distinct.size == 1 && rt.labels(abEdges.head).sameElements(ab))
+    assert(NfaSerializer.serialize(rt) == bytes)
+  }
+
+  test("deserialize rejects a label back-reference past the labels written before it") {
+    for ((bytes, i, written) <- Seq((Seq(4, 0), 0, 0), (Seq(0, 1, 3, 4, 1), 1, 1))) {
+      val e = intercept[IllegalArgumentException](
+        NfaSerializer.deserialize(new NfaSerializer.Bytes(bytes.map(_.toByte).toArray)))
+      assert(e.getMessage.contains(s"label back-reference $i at byte ${bytes.length - 1}, " +
+        s"but only $written labels were written before it"), e.getMessage)
     }
   }
 
