@@ -52,10 +52,11 @@ object Drivers {
     */
   private[repro] def dSeqRecords(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int,
                                  rewrite: Boolean): Iterator[(Int, Array[Byte])] = {
-    val g = PivotSearch.grid(t, fst, dict, maxFid)
     lazy val whole = Varint.encode(t)
+    if (!rewrite) return PivotSearch.pivots(t, fst, dict, maxFid).iterator.map((_, whole))
+    val g = PivotSearch.grid(t, fst, dict, maxFid)
     g.pivots.iterator.map { k =>
-      val r = if (rewrite) PivotSearch.rewrite(t, g, k) else t
+      val r = PivotSearch.rewrite(t, g, k)
       (k, if (r eq t) whole else Varint.encode(r))
     }
   }

@@ -56,7 +56,7 @@ object Nfa {
   }
 
   /** Build the per-pivot NFAs for input sequence `t` (Sec. VI-A): for each
-    * pivot `k` of the grid ([[PivotSearch.grid]]), the trie of the restricted
+    * pivot `k` of the grid ([[PivotSearch.pivots]]), the trie of the restricted
     * label strings of the accepting runs `r` with `k ∈ K(r)`, minimized.
     *
     * A run's label string is its non-ε output sets, each restricted to its
@@ -84,7 +84,7 @@ object Nfa {
     require(2L * (t.length + 1) * fst.numStates <= Int.MaxValue,
       s"D-CAND: a sequence of ${t.length} items on an FST of ${fst.numStates} states has more " +
         s"product states than an Int indexes (${Int.MaxValue})")
-    val pivots = PivotSearch.grid(t, fst, dict, maxFid).pivots
+    val pivots = PivotSearch.pivots(t, fst, dict, maxFid)
     if (pivots.isEmpty) return Map.empty
     val tries = new PivotTries(t, fst, dict, maxNodes, minimize)
     pivots.iterator.map { k =>

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.dict.Dictionary
-import repro.fst.{Fst, FstSimulator}
+import repro.fst.{Fst, FstSimulator, StepRow}
 
 import scala.collection.mutable
 
@@ -9,25 +9,30 @@ import scala.collection.mutable
   *
   * Finds the pivot items `K(T)` of an input sequence in time linear in `|T|`
   * (for a fixed FST) on the position–state grid of the paper, with two
-  * integer passes in place of its `⊕` set DP, and trims the sequence per pivot.
+  * integer passes in place of its `⊕` set DP ([[pivots]]), and then each
+  * pivot's window `ρk(T)` with two lane-parallel passes over all pivots at
+  * once ([[grid]]).
   *
   * Items are fids; fid 0 is ε and is strictly smaller than every item, so an
   * ε-only output set needs no special casing: its floor is 0.
   */
 object PivotSearch {
 
-  /** Result of the grid passes for one input sequence. Positions are 0-based. A surviving
-    * grid edge is one on a σ-feasible accepting run: the forward pass reaches its source and
-    * the backward pass leaves its target through output sets that each have a frequent item or ε.
+  /** Result of the grid passes for one input sequence. Positions are 0-based.
     *
-    * @param pivots    sorted `K(T)` (σ-filtered, ε removed)
-    * @param minPivot  per position, the smallest pivot it is relevant for (Sec. V-B): 0
-    *                  if a surviving edge there changes state, else the smallest frequent
-    *                  non-ε item such an edge outputs (Int.MaxValue if none)
+    * A run counts for pivot `k` iff every output set's floor (smallest item, ε = 0) is `<= k`
+    * and some set holds `k`. Pivot `k`'s window runs from the first to the last position with a
+    * step on a counted run that is not an ε self-loop (ε-only output, same source and target
+    * state); before and after it, every counted run idles in one state.
+    *
+    * @param pivots sorted `K(T)` (σ-filtered, ε removed)
+    * @param first  per pivot, at the pivot's index: the first position of its window
+    * @param last   per pivot: the last position of its window, or the last position of `t` when
+    *               trimming the tail could add runs (see [[grid]])
     */
-  final case class GridResult(pivots: Array[Int], minPivot: Array[Int])
+  final case class GridResult(pivots: Array[Int], first: Array[Int], last: Array[Int])
 
-  /** The position–state grid (Fig. 5b) for sequence `t` in closed form.
+  /** `K(T)` for sequence `t`: the position–state grid (Fig. 5b) in closed form.
     * Folding Th. 1's `⊕` over a run's σ-filtered output sets keeps exactly
     * its frequent non-ε items `>= L`, `L` the largest of its sets' floors
     * (smallest items `<= maxFid`, ε = 0 counting as an item); the tests'
@@ -40,25 +45,30 @@ object PivotSearch {
     *
     * `maxFid` is the largest frequent fid (σ boundary); runs forced through a
     * set without a frequent item or ε generate no candidate in `Gσπ(T)`, so
-    * their edges do not survive.
+    * their edges do not survive. The surviving edges at one position that share
+    * an output set add its items `>=` their least bound, once. Sorted, without
+    * duplicates.
     */
-  def grid(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): GridResult = {
+  def pivots(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Array[Int] = {
     val n = t.length
     val s = fst.numStates
     val back = FstSimulator.floors(t, fst, dict, maxFid)
     // F(i, q) for the current position i and the next one.
-    var fwd = Array.fill(s)(Int.MaxValue)
+    var fwd = new Array[Int](s)
     var fwdNext = new Array[Int](s)
+    java.util.Arrays.fill(fwd, Int.MaxValue)
     fwd(fst.initial) = 0
 
     val pivots = new mutable.ArrayBuilder.ofInt
-    val minPivot = Array.fill(n)(Int.MaxValue)
+    // Per output function, the least bound `lo` of the current position's surviving edges.
+    val lows = new Array[Int](if (n == 0) 0 else fst.steps(t(0), dict).sets.length)
 
     var i = 0
     while (i < n) {
       val row = fst.steps(t(i), dict)
       val next = (i + 1) * s
       java.util.Arrays.fill(fwdNext, Int.MaxValue)
+      java.util.Arrays.fill(lows, Int.MaxValue)
       var q = 0
       while (q < s) {
         // A cell without a σ-feasible suffix starts no surviving edge.
@@ -71,22 +81,23 @@ object PivotSearch {
               val f = math.max(fwd(q), o(0))
               if (f < fwdNext(to)) fwdNext(to) = f
               val lo = math.max(f, back(next + to))
-              if (lo < Int.MaxValue) {
-                // A surviving edge: its frequent non-ε items >= lo are pivots.
-                var m = 0
-                while (m < o.length && o(m) <= maxFid) {
-                  if (o(m) >= lo && o(m) != 0) pivots += o(m)
-                  m += 1
-                }
-                // Relevance for the rewrite; m > 1 means o(1) is frequent.
-                val rel = if (to != q) 0 else if (o(0) != 0) o(0) else if (m > 1) o(1) else Int.MaxValue
-                if (rel < minPivot(i)) minPivot(i) = rel
-              }
+              if (lo < lows(row.outFn(j))) lows(row.outFn(j)) = lo
             }
             j += 1
           }
         }
         q += 1
+      }
+      // A surviving edge (finite lo): its set's frequent non-ε items >= lo are pivots.
+      var fn = 0
+      while (fn < lows.length) {
+        val o = row.sets(fn)
+        var m = 0
+        while (lows(fn) < Int.MaxValue && m < o.length && o(m) <= maxFid) {
+          if (o(m) >= lows(fn) && o(m) != 0) pivots += o(m)
+          m += 1
+        }
+        fn += 1
       }
       val tmp = fwd; fwd = fwdNext; fwdNext = tmp
       i += 1
@@ -97,19 +108,188 @@ object PivotSearch {
     java.util.Arrays.sort(ks)
     var d, j = 0
     while (j < ks.length) { if (d == 0 || ks(j) != ks(d - 1)) { ks(d) = ks(j); d += 1 }; j += 1 }
-    GridResult(if (d == ks.length) ks else java.util.Arrays.copyOf(ks, d), minPivot)
+    if (d == ks.length) ks else java.util.Arrays.copyOf(ks, d)
   }
 
-  /** The rewritten representation `ρk(T)`: `t` with leading and trailing
-    * positions irrelevant for pivot `k` dropped (Sec. V-B). `t` itself when
-    * nothing is dropped or no position is relevant.
+  /** [[pivots]] and every pivot's window (Sec. V-B), 64 pivots per lane mask.
+    *
+    * Trimming the head is exact: each counted run idles in the initial state up to `first`,
+    * so the trimmed sequence's counted runs are the original's. Trimming the tail is exact
+    * when every final state that a prefix counted for `k` so far (set floors `<= k`, `k`
+    * output) reaches at `last + 1` gets to a final state at `n` through ε-only steps: then
+    * each counted run of the trimmed sequence extends to one of `t` with the same output.
+    * Where that fails, `last` is the end of `t`.
+    */
+  def grid(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): GridResult = {
+    val ks = pivots(t, fst, dict, maxFid)
+    val first = new Array[Int](ks.length)
+    val last = new Array[Int](ks.length)
+    if (ks.nonEmpty) {
+      val rows = new Array[StepRow](t.length)
+      for (i <- t.indices) rows(i) = fst.steps(t(i), dict)
+      var lo = 0
+      while (lo < ks.length) {
+        windows(rows, fst, ks, lo, math.min(lo + 64, ks.length), first, last)
+        lo += 64
+      }
+    }
+    GridResult(ks, first, last)
+  }
+
+  /** The windows of pivots `ks(lo until hi)`, pivot `ks(lo + l)` in lane `l` of each mask.
+    *
+    * An output set's masks, built once per (position, output function) for both passes:
+    * `below`, the lanes whose pivot is `>=` the set's floor, and `holds`, the lanes whose pivot
+    * the set holds. The backward pass fills, per cell `i * S + q`, `live` (an accepting suffix
+    * with every set floor `<= k`), `toK` (one that also outputs `k`) and `end` (ε-only steps
+    * lead to a final state at `n`). The forward pass carries `reach` (a prefix with set floors
+    * `<= k`) and `seen` (one that has also output `k`); a step is on a counted run for the
+    * lanes of `seen' & live(target) | reach' & toK(target)`, primes marking the masks after
+    * the step. It follows prefixes through cells without an accepting suffix too: a prefix of
+    * the trimmed sequence may die in `t`, and the tail rule must see it.
+    */
+  private def windows(rows: Array[StepRow], fst: Fst, ks: Array[Int], lo: Int, hi: Int,
+                      first: Array[Int], last: Array[Int]): Unit = {
+    val n = rows.length
+    val s = fst.numStates
+    val all = if (hi - lo == 64) -1L else (1L << (hi - lo)) - 1
+    val fns = rows(0).sets.length
+    val below = new Array[Long](n * fns)
+    val holds = new Array[Long](n * fns)
+    val live = new Array[Long]((n + 1) * s)
+    val toK = new Array[Long]((n + 1) * s)
+    val end = new Array[Boolean]((n + 1) * s)
+    var q = 0
+    while (q < s) {
+      if (fst.isFinal(q)) { live(n * s + q) = all; end(n * s + q) = true }
+      q += 1
+    }
+    var i = n - 1
+    while (i >= 0) {
+      val row = rows(i)
+      val fn = i * fns
+      var f = 0
+      while (f < fns) {
+        val o = row.sets(f)
+        // Empty if no step on this item outputs it; then both masks stay 0. Otherwise lanes
+        // from `p` on hold the pivots >= o(0), and the set's pivots are among them.
+        if (o.length > 0) {
+          val at = if (o(0) <= ks(lo)) lo else java.util.Arrays.binarySearch(ks, lo, hi, o(0))
+          var p = if (at >= 0) at else -at - 1
+          below(fn + f) = if (p == hi) 0L else all & -1L << (p - lo)
+          var h = 0L
+          var m = 0
+          while (m < o.length && p < hi) {
+            while (p < hi && ks(p) < o(m)) p += 1
+            if (p < hi && ks(p) == o(m)) h |= 1L << (p - lo)
+            m += 1
+          }
+          holds(fn + f) = h
+        }
+        f += 1
+      }
+      val next = (i + 1) * s
+      q = 0
+      while (q < s) {
+        var l, k = 0L
+        var e = false
+        var j = row.start(q)
+        while (j < row.start(q + 1)) {
+          val to = next + row.to(j)
+          if (row.epsOnly(j)) { l |= live(to); k |= toK(to); e |= end(to) }
+          else {
+            val b = below(fn + row.outFn(j))
+            l |= b & live(to)
+            k |= b & (toK(to) | holds(fn + row.outFn(j)) & live(to))
+          }
+          j += 1
+        }
+        live(i * s + q) = l
+        toK(i * s + q) = k
+        end(i * s + q) = e
+        q += 1
+      }
+      i -= 1
+    }
+
+    // hit(i): the lanes with a counted step at i that is not an ε self-loop. bad(i): the lanes
+    // with a prefix counted so far in a final state at i that has no ε-only way to the end.
+    val hit = new Array[Long](n)
+    val bad = new Array[Long](n)
+    var reach, seen, reachNext, seenNext = new Array[Long](s) // one array each
+    reach(fst.initial) = all
+    i = 0
+    while (i < n) {
+      val row = rows(i)
+      val fn = i * fns
+      val next = (i + 1) * s
+      java.util.Arrays.fill(reachNext, 0L)
+      java.util.Arrays.fill(seenNext, 0L)
+      var hits, bads = 0L
+      q = 0
+      while (q < s) {
+        val r = reach(q)
+        if (r != 0) {
+          val sn = seen(q)
+          if (fst.isFinal(q) && !end(i * s + q)) bads |= sn
+          var j = row.start(q)
+          while (j < row.start(q + 1)) {
+            val to = row.to(j)
+            if (row.epsOnly(j)) {
+              reachNext(to) |= r
+              seenNext(to) |= sn
+              if (to != q) hits |= sn & live(next + to) | r & toK(next + to)
+            } else {
+              val b = below(fn + row.outFn(j))
+              val r1 = r & b
+              val s1 = b & (sn | r & holds(fn + row.outFn(j)))
+              reachNext(to) |= r1
+              seenNext(to) |= s1
+              hits |= s1 & live(next + to) | r1 & toK(next + to)
+            }
+            j += 1
+          }
+        }
+        q += 1
+      }
+      hit(i) = hits
+      bad(i) = bads
+      var tmp = reach; reach = reachNext; reachNext = tmp
+      tmp = seen; seen = seenNext; seenNext = tmp
+      i += 1
+    }
+
+    // Every pivot has a counted labelled step, so each lane is hit at least once.
+    var todo = all
+    i = 0
+    while (todo != 0) {
+      var b = hit(i) & todo
+      todo &= ~b
+      while (b != 0) { first(lo + java.lang.Long.numberOfTrailingZeros(b)) = i; b &= b - 1 }
+      i += 1
+    }
+    todo = all
+    i = n - 1
+    while (todo != 0) {
+      var b = hit(i) & todo
+      todo &= ~b
+      val keepTail = if (i + 1 < n) bad(i + 1) else 0L
+      while (b != 0) {
+        val l = java.lang.Long.numberOfTrailingZeros(b)
+        last(lo + l) = if ((keepTail >>> l & 1) != 0) n - 1 else i
+        b &= b - 1
+      }
+      i -= 1
+    }
+  }
+
+  /** The rewritten representation `ρk(T)` of pivot `k` of `g`: `t` cut to `k`'s window
+    * (Sec. V-B), or `t` itself when the window is all of `t`.
     */
   def rewrite(t: Array[Int], g: GridResult, k: Int): Array[Int] = {
-    val n = t.length
-    var first = 0
-    while (first < n && g.minPivot(first) > k) first += 1
-    var last = n - 1
-    while (last > first && g.minPivot(last) > k) last -= 1
-    if (first == n || (first == 0 && last == n - 1)) t else t.slice(first, last + 1)
+    val p = java.util.Arrays.binarySearch(g.pivots, k)
+    require(p >= 0, s"$k is not a pivot of the sequence")
+    val (from, until) = (g.first(p), g.last(p) + 1)
+    if (from == 0 && until == t.length) t else java.util.Arrays.copyOfRange(t, from, until)
   }
 }

@@ -66,15 +66,16 @@ final case class Transition(from: Int, in: InPred, out: OutOp, to: Int) extends 
   *
   * Rows of items that match the same transitions share `start`, `to`,
   * `epsOnly` and `outFn`. A row's own data is `sets`: the output set on its
-  * item of each of the FST's distinct output functions, indexed by `outFn(j)`.
+  * item of each of the FST's distinct output functions, indexed by `outFn(j)`,
+  * so every row has as many sets, and steps with the same `outFn` share one.
   * Immutable, with final fields only, so it is safe to share between threads.
   */
 final class StepRow(
     val start: Array[Int],
     val to: Array[Int],
     val epsOnly: Array[Boolean],
-    outFn: Array[Int],
-    sets: Array[Array[Int]]
+    val outFn: Array[Int],
+    val sets: Array[Array[Int]]
 ) {
   def out(j: Int): Array[Int] = sets(outFn(j))
 

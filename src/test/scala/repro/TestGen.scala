@@ -132,4 +132,47 @@ object TestGen {
     */
   def brutePivots(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Set[Int] =
     FstSimulator.candidates(t, fst, dict, maxFid).map(_.max)
+
+  /** Each pivot's window the slow way — ground truth for the grid's lane passes. A run counts
+    * for `k <= maxFid` iff every output set's smallest item (ε = 0) is `<= k` and some set
+    * holds `k`. Over the accepting runs, enumerated with their states, pivot `k`'s window runs
+    * from the first to the last position of a step on a counted run that is not an ε self-loop.
+    * Its tail is kept whole when some prefix that has output `k` with every set's smallest item
+    * `<= k` stands at `last + 1` in a final state from which no ε-only steps reach a final
+    * state at the end of `t`.
+    */
+  def bruteWindows(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Map[Int, (Int, Int)] = {
+    val n = t.length
+    val rows = t.map(fst.steps(_, dict))
+    def moves(i: Int, q: Int) = (rows(i).start(q) until rows(i).start(q + 1)).map(j => (rows(i).out(j), rows(i).to(j)))
+    def isEps(o: Array[Int]) = o.sameElements(Array(0))
+    val finishes = Array.fill(n + 1)(Set.empty[Int])
+    finishes(n) = (0 until fst.numStates).filter(fst.isFinal).toSet
+    for (i <- n - 1 to 0 by -1)
+      finishes(i) = (0 until fst.numStates).filter(q => moves(i, q).exists(m => finishes(i + 1)(m._2))).toSet
+    val windows = mutable.Map.empty[Int, (Int, Int)]
+    // `steps`: (position, output set, whether the step is an ε self-loop), last step first.
+    def runs(i: Int, q: Int, steps: List[(Int, Array[Int], Boolean)]): Unit =
+      if (i == n) {
+        if (fst.isFinal(q)) {
+          val floor = steps.map(_._2.head).maxOption.getOrElse(0)
+          val moving = steps.filterNot(_._3).map(_._1)
+          for (k <- steps.flatMap(_._2).distinct if k != 0 && k >= floor && k <= maxFid) {
+            val (f, l) = windows.getOrElse(k, (n, -1))
+            windows(k) = (math.min(f, moving.min), math.max(l, moving.max))
+          }
+        }
+      } else for ((o, to) <- moves(i, q) if finishes(i + 1)(to)) runs(i + 1, to, (i, o, to == q && isEps(o)) :: steps)
+    runs(0, fst.initial, Nil)
+    def epsToEnd(i: Int, q: Int): Boolean =
+      if (i == n) fst.isFinal(q) else moves(i, q).exists { case (o, to) => isEps(o) && epsToEnd(i + 1, to) }
+    windows.map { case (k, (first, last)) =>
+      // (state, has output k) after the prefixes with every set's smallest item <= k
+      var prefixes = Set((fst.initial, false))
+      for (i <- 0 to last)
+        prefixes = for ((q, seen) <- prefixes; (o, to) <- moves(i, q) if o(0) <= k) yield (to, seen || o.contains(k))
+      val exact = last + 1 == n || prefixes.forall { case (q, seen) => !seen || !fst.isFinal(q) || epsToEnd(last + 1, q) }
+      k -> (first, if (exact) last else n - 1)
+    }.toMap
+  }
 }

@@ -121,19 +121,23 @@ class PivotSearchSpec extends AnyFunSuite {
     val g = grid(t, f, dict, maxFid)
     assert(g.pivots.toSeq == Seq(a1))
     assert(rewrite(t, g, a1).toSeq == Seq(a1))
-    assert(rewrite(t, grid(t, f, dict, dict.size), a1).toSeq == t.toSeq, "without σ the d e branch is feasible")
+    // Without σ the d e branch is feasible, but its run outputs e > a1: it counts for pivot e.
+    val all = grid(t, f, dict, dict.size)
+    assert(all.pivots.toSeq == Seq(a1, e))
+    assert(rewrite(t, all, a1).toSeq == Seq(a1), "without σ, d e a1 counts for e, not a1")
+    assert(rewrite(t, all, e) eq t)
     val before = repro.fst.FstSimulator.candidates(t, f, dict, maxFid).filter(_.max == a1)
     val after = repro.fst.FstSimulator.candidates(rewrite(t, g, a1), f, dict, maxFid).filter(_.max == a1)
     assert(before == Set(List(a1)) && after == before)
   }
 
-  test("minPivot(T2) under πex with σ=2: 0 where a run changes state, MaxValue where it only skips") {
+  test("window of a1 in T2 under πex with σ=2: from the first a1 a run captures to the b") {
     // e e a1 e a1 e b: every e is only skipped by a `.*` loop (e is
     // infrequent, so `(.^)` cannot output it); (A) can take either a1 and (b)
     // takes the b, each changing state.
     val g = grid(T2, fst, dict, dict.maxFrequentFid(2))
-    val M = Int.MaxValue
-    assert(g.minPivot.toSeq == Seq(M, M, 0, M, 0, M, 0))
+    assert(g.pivots.toSeq == Seq(a1))
+    assert(g.first.toSeq == Seq(2) && g.last.toSeq == Seq(6))
   }
 
   test("rewrite returns t itself when the window is the whole sequence") {
@@ -148,15 +152,89 @@ class PivotSearchSpec extends AnyFunSuite {
     assert(rewrite(t, g, a1).toSeq == Seq(a1, b))
   }
 
-  test("per-item relevance trims both ends; a k below every relevant position keeps t itself") {
-    // One final state that skips any item or outputs c: no edge changes state.
+  test("a one-state FST's window runs from the first to the last c it outputs") {
+    // One final state that skips any item or outputs c: no edge changes state, so only the
+    // steps that output c are not ε self-loops.
     val f = new Fst(1, 0, Array(true), Array(
       Transition(0, InPred.AnyIn, OutOp.EpsOut, 0), Transition(0, InPred.ExactIn(c), OutOp.SelfOut, 0)))
     val g = grid(T1, f, dict, dict.maxFrequentFid(2))
-    val M = Int.MaxValue
-    assert(g.minPivot.toSeq == Seq(M, c, M, c, M))
+    assert(g.pivots.toSeq == Seq(c))
+    assert(g.first.toSeq == Seq(1) && g.last.toSeq == Seq(3))
     assert(rewrite(T1, g, c).toSeq == Seq(c, d, c))
-    assert(rewrite(T1, g, d) eq T1)
+  }
+
+  /** The initial state 0 skips any item. Then either `a1 d` through state 1 into state 2, final
+    * with a `.*` loop, or, outputting only a1, `a1` into state 4 and `d` into state 3, final with
+    * a loop only if `loop3`.
+    */
+  private def twoFinals(loop3: Boolean) = new Fst(5, 0, Array(false, false, true, true, false), Array(
+    Transition(0, InPred.AnyIn, OutOp.EpsOut, 0), Transition(0, InPred.ExactIn(a1), OutOp.SelfOut, 1),
+    Transition(1, InPred.ExactIn(d), OutOp.SelfOut, 2), Transition(2, InPred.AnyIn, OutOp.EpsOut, 2),
+    Transition(0, InPred.ExactIn(a1), OutOp.SelfOut, 4), Transition(4, InPred.ExactIn(d), OutOp.EpsOut, 3)) ++
+    (if (loop3) Seq(Transition(3, InPred.AnyIn, OutOp.EpsOut, 3)) else Nil))
+
+  test("the tail stays when a counted prefix ends in a final state with no ε-only way to the end") {
+    // a1 d c: the runs through state 3 stop at c, so only `a1 d` (pivot a1, as d < a1) is a
+    // candidate; a1 d alone would also accept the prefix a1 · d/ε into state 3, giving `a1`.
+    // Every cell of that prefix is dead in a1 d c, so the check must follow prefixes through
+    // cells without an accepting suffix.
+    val t = Array(a1, d, c)
+    val f = twoFinals(loop3 = false)
+    val g = grid(t, f, dict, dict.size)
+    assert(g.pivots.toSeq == Seq(a1))
+    assert(rewrite(t, g, a1) eq t)
+    val want = repro.fst.FstSimulator.candidates(t, f, dict).filter(_.max == a1)
+    assert(want == Set(List(a1, d)))
+    assert(repro.fst.FstSimulator.candidates(t.take(2), f, dict).filter(_.max == a1) == Set(List(a1), List(a1, d)),
+      "cutting c would add the candidate a1")
+    assert(TestGen.bruteWindows(t, f, dict, dict.size) == Map(a1 -> (0, 2)))
+  }
+
+  test("the tail goes when every final state a counted prefix reaches has an ε-only way to the end") {
+    val t = Array(a1, d, c)
+    val f = twoFinals(loop3 = true)
+    val g = grid(t, f, dict, dict.size)
+    assert(rewrite(t, g, a1).toSeq == Seq(a1, d))
+    assert(repro.fst.FstSimulator.candidates(Array(a1, d), f, dict).filter(_.max == a1) ==
+      repro.fst.FstSimulator.candidates(t, f, dict).filter(_.max == a1))
+    assert(TestGen.bruteWindows(t, f, dict, dict.size) == Map(a1 -> (0, 1)))
+  }
+
+  test("N5: ρk(T) is the span of the 3-grams with a candidate whose largest item is k") {
+    // N5 outputs every 3-gram with one item generalized. Its FST's final state loops on `.`,
+    // so a gram's steps are the only ones that are not ε self-loops.
+    val names = Array("l0", "l4", "l7", "l1", "l5", "l9", "l2", "l6")
+    val (d5, Seq(t)) = TestGen.encodeLocal(Seq(names), TestGen.toyParents)
+    val f = FstCompiler.compile("([.^. .]|[. .^.]|[. . .^])", d5)
+    val g = grid(t, f, d5, d5.size)
+    def rho(w: String) = rewrite(t, g, d5.fid(w)).map(d5.name).mkString(" ")
+    assert(rho("l7") == "l0 l4 l7 l1 l5")
+    assert(rho("l9") == "l1 l5 l9 l2 l6")
+    assert(rewrite(t, g, d5.fid("m0")) eq t)
+    for (k <- g.pivots) {
+      val starts = for {
+        s <- 0 to t.length - 3; slot <- 0 to 2; w <- d5.anc(t(s + slot))
+        if t.slice(s, s + 3).updated(slot, w).max == k
+      } yield s
+      assert(rewrite(t, g, k).toSeq == t.slice(starts.min, starts.max + 3).toSeq, d5.name(k))
+    }
+  }
+
+  test("more than 64 pivots: every lane's window keeps exactly the pivot's candidates") {
+    val d100 = new repro.dict.Dictionary(Array.tabulate(100)(i => s"w$i"), Array.fill(100)(Array.empty[Int]),
+                                         Array.tabulate(100)(i => 100L - i))
+    val t = new scala.util.Random(64).shuffle((1 to 100).toVector).toArray
+    val f = FstCompiler.compile("(.)[.{0,1}(.)]", d100)
+    val g = grid(t, f, d100, d100.size)
+    assert(g.pivots.length > 64)
+    val all = repro.fst.FstSimulator.candidates(t, f, d100)
+    for (k <- g.pivots) {
+      val rw = rewrite(t, g, k)
+      assert(repro.fst.FstSimulator.candidates(rw, f, d100).filter(_.max == k) == all.filter(_.max == k),
+        s"k=$k t=${t.mkString(" ")}")
+    }
+    // k occurs once, so its window is at most the two items on either side of it.
+    assert(g.pivots.indices.forall(p => g.last(p) - g.first(p) <= 4))
   }
 
   test("rewrite never drops relevant positions: candidates for the pivot agree") {
@@ -183,6 +261,17 @@ class PivotSearchSpec extends AnyFunSuite {
         val got = grid(t, f, d, maxFid).pivots.toSet
         val want = TestGen.brutePivots(t, f, d, maxFid)
         assert(got == want, s"t=${t.map(d.name).mkString(" ")} sigma=$sigma")
+      }
+    }
+
+    test(s"grid windows == brute-force windows [$name, seed=$seed]") {
+      val (d, db) = TestGen.encodeLocal(TestGen.randomDb(seed + 200), TestGen.toyParents)
+      val f = FstCompiler.compile(patex, d)
+      for (t <- db; sigma <- Seq(1L, 3L)) {
+        val maxFid = d.maxFrequentFid(sigma)
+        val g = grid(t, f, d, maxFid)
+        val got = g.pivots.indices.map(p => g.pivots(p) -> (g.first(p), g.last(p))).toMap
+        assert(got == TestGen.bruteWindows(t, f, d, maxFid), s"t=${t.map(d.name).mkString(" ")} sigma=$sigma")
       }
     }
 
