@@ -161,6 +161,8 @@ class PivotSearchSpec extends AnyFunSuite {
     assert(g.pivots.toSeq == Seq(c))
     assert(g.first.toSeq == Seq(1) && g.last.toSeq == Seq(3))
     assert(rewrite(T1, g, c).toSeq == Seq(c, d, c))
+    // d is no pivot of T1, so it has no window to cut.
+    intercept[IllegalArgumentException](rewrite(T1, g, d))
   }
 
   /** The initial state 0 skips any item. Then either `a1 d` through state 1 into state 2, final
