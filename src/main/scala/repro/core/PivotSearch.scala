@@ -7,11 +7,12 @@ import scala.collection.mutable
 
 /** Pivot search and sequence rewriting for D-SEQ (Sec. V-A/V-B).
   *
-  * Finds the pivot items `K(T)` of an input sequence in time linear in `|T|`
-  * (for a fixed FST) on the position–state grid of the paper, with two
-  * integer passes in place of its `⊕` set DP ([[pivots]]), and then each
-  * pivot's window `ρk(T)` with two lane-parallel passes over all pivots at
-  * once ([[grid]]).
+  * Finds the pivot items `K(T)` of an input sequence on the position–state grid of the paper
+  * (Th. 1, Fig. 5b), in time linear in `|T|` for a fixed FST and a bounded number of candidate
+  * items, and then each pivot's window `ρk(T)`. Both rest on one counting rule (see
+  * [[GridResult]]), the closed form of Th. 1's `⊕` that the tests' `PivotFold` checks against
+  * the fold, applied by lane-parallel passes that give each candidate item one lane of 64-bit
+  * masks: a backward pass yields `K(T)` ([[pivots]]) and a forward pass the windows ([[grid]]).
   *
   * Items are fids; fid 0 is ε and is strictly smaller than every item, so an
   * ε-only output set needs no special casing: its floor is 0.
@@ -32,124 +33,80 @@ object PivotSearch {
     */
   final case class GridResult(pivots: Array[Int], first: Array[Int], last: Array[Int])
 
-  /** `K(T)` for sequence `t`: the position–state grid (Fig. 5b) in closed form.
-    * Folding Th. 1's `⊕` over a run's σ-filtered output sets keeps exactly
-    * its frequent non-ε items `>= L`, `L` the largest of its sets' floors
-    * (smallest items `<= maxFid`, ε = 0 counting as an item); the tests'
-    * `PivotFold` holds both the fold and this closed form. So an
-    * edge `e` from `(i, q)` to `(i + 1, q')` with output set `O` gives `K(T)`
-    * the frequent non-ε items of `O` that are `>= max(F(i, q), floor(O),
-    * B(i + 1, q'))`: the least `L` over the runs through `e`, with `F` the
-    * least largest floor over run prefixes into `(i, q)` (forward pass) and
-    * `B` over run suffixes out of `(i + 1, q')` ([[FstSimulator.floors]]).
-    *
-    * `maxFid` is the largest frequent fid (σ boundary); runs forced through a
-    * set without a frequent item or ε generate no candidate in `Gσπ(T)`, so
-    * their edges do not survive. The surviving edges at one position that share
-    * an output set add its items `>=` their least bound, once. Sorted, without
-    * duplicates.
+  /** `K(T)` for sequence `t`: the items `k` with a run that counts for `k` (see [[GridResult]]),
+    * Th. 1's pivots. `maxFid` is the largest frequent fid (σ boundary): only frequent items are
+    * candidates, and a run through a set whose floor is infrequent counts for none of them, as
+    * it generates no candidate in `Gσπ(T)`. Sorted, without duplicates.
     */
-  def pivots(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Array[Int] = {
-    val n = t.length
-    val s = fst.numStates
-    val back = FstSimulator.floors(t, fst, dict, maxFid)
-    // F(i, q) for the current position i and the next one.
-    var fwd = new Array[Int](s)
-    var fwdNext = new Array[Int](s)
-    java.util.Arrays.fill(fwd, Int.MaxValue)
-    fwd(fst.initial) = 0
+  def pivots(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Array[Int] =
+    search(t, fst, dict, maxFid, windows = false).pivots
 
-    val pivots = new mutable.ArrayBuilder.ofInt
-    // Per output function, the least bound `lo` of the current position's surviving edges.
-    val lows = new Array[Int](if (n == 0) 0 else fst.steps(t(0), dict).sets.length)
-
-    var i = 0
-    while (i < n) {
-      val row = fst.steps(t(i), dict)
-      val next = (i + 1) * s
-      java.util.Arrays.fill(fwdNext, Int.MaxValue)
-      java.util.Arrays.fill(lows, Int.MaxValue)
-      var q = 0
-      while (q < s) {
-        // A cell without a σ-feasible suffix starts no surviving edge.
-        if (fwd(q) < Int.MaxValue && back(i * s + q) < Int.MaxValue) {
-          var j = row.start(q)
-          while (j < row.start(q + 1)) {
-            val to = row.to(j)
-            val o = row.out(j)
-            if (o(0) <= maxFid) {
-              val f = math.max(fwd(q), o(0))
-              if (f < fwdNext(to)) fwdNext(to) = f
-              val lo = math.max(f, back(next + to))
-              if (lo < lows(row.outFn(j))) lows(row.outFn(j)) = lo
-            }
-            j += 1
-          }
-        }
-        q += 1
-      }
-      // A surviving edge (finite lo): its set's frequent non-ε items >= lo are pivots.
-      var fn = 0
-      while (fn < lows.length) {
-        val o = row.sets(fn)
-        var m = 0
-        while (lows(fn) < Int.MaxValue && m < o.length && o(m) <= maxFid) {
-          if (o(m) >= lows(fn) && o(m) != 0) pivots += o(m)
-          m += 1
-        }
-        fn += 1
-      }
-      val tmp = fwd; fwd = fwdNext; fwdNext = tmp
-      i += 1
-    }
-
-    // Sorted, then deduplicated in place by a plain loop: `distinct` boxes every raw entry.
-    val ks = pivots.result()
-    java.util.Arrays.sort(ks)
-    var d, j = 0
-    while (j < ks.length) { if (d == 0 || ks(j) != ks(d - 1)) { ks(d) = ks(j); d += 1 }; j += 1 }
-    if (d == ks.length) ks else java.util.Arrays.copyOf(ks, d)
-  }
-
-  /** [[pivots]] and every pivot's window (Sec. V-B), 64 pivots per lane mask.
+  /** [[pivots]] and every pivot's window (Sec. V-B).
     *
     * Trimming the head is exact: each counted run idles in the initial state up to `first`,
     * so the trimmed sequence's counted runs are the original's. Trimming the tail is exact
-    * when every final state that a prefix counted for `k` so far (set floors `<= k`, `k`
-    * output) reaches at `last + 1` gets to a final state at `n` through ε-only steps: then
+    * when every final state that a prefix counted for `k` so far (every set's floor `<= k`,
+    * `k` output) reaches at `last + 1` gets to a final state at `n` through ε-only steps: then
     * each counted run of the trimmed sequence extends to one of `t` with the same output.
     * Where that fails, `last` is the end of `t`.
     */
-  def grid(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): GridResult = {
-    val ks = pivots(t, fst, dict, maxFid)
-    val first = new Array[Int](ks.length)
-    val last = new Array[Int](ks.length)
-    if (ks.nonEmpty) {
-      val rows = new Array[StepRow](t.length)
-      for (i <- t.indices) rows(i) = fst.steps(t(i), dict)
-      var lo = 0
-      while (lo < ks.length) {
-        windows(rows, fst, ks, lo, math.min(lo + 64, ks.length), first, last)
-        lo += 64
+  def grid(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): GridResult =
+    search(t, fst, dict, maxFid, windows = true)
+
+  /** [[grid]], whose `first` and `last` stay 0 unless `windows`. The candidates, the frequent
+    * non-ε items of `t`'s output sets, go 64 to a chunk; per chunk, the [[backward]] pass gives
+    * the chunk's pivots and, if `windows`, the [[forward]] pass their windows.
+    */
+  private def search(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int, windows: Boolean): GridResult = {
+    FstSimulator.requireCells(t.length, fst.numStates)
+    val rows = new Array[StepRow](t.length)
+    val cands = new mutable.ArrayBuilder.ofInt
+    for (i <- t.indices) {
+      rows(i) = fst.steps(t(i), dict)
+      for (o <- rows(i).sets) {
+        var m = 0
+        while (m < o.length && o(m) <= maxFid) { if (o(m) != 0) cands += o(m); m += 1 }
       }
     }
-    GridResult(ks, first, last)
+    // Sorted, then deduplicated in place by a plain loop: `distinct` boxes every raw entry.
+    val ks = cands.result()
+    java.util.Arrays.sort(ks)
+    var d, j = 0
+    while (j < ks.length) { if (d == 0 || ks(j) != ks(d - 1)) { ks(d) = ks(j); d += 1 }; j += 1 }
+
+    val first = new Array[Int](d)
+    val last = new Array[Int](d)
+    var p, lo = 0
+    while (lo < d) {
+      val lanes = backward(rows, fst, ks, lo, math.min(lo + 64, d))
+      var mask = lanes.toK(fst.initial)
+      if (windows && mask != 0) forward(rows, fst, lanes, mask, lo, first, last)
+      // Keep the chunk's pivots, moved down over the candidates before them that are none.
+      while (mask != 0) {
+        val c = lo + java.lang.Long.numberOfTrailingZeros(mask)
+        ks(p) = ks(c); first(p) = first(c); last(p) = last(c); p += 1
+        mask &= mask - 1
+      }
+      lo += 64
+    }
+    def keep(a: Array[Int]) = if (a.length == p) a else java.util.Arrays.copyOf(a, p)
+    GridResult(keep(ks), keep(first), keep(last))
   }
 
-  /** The windows of pivots `ks(lo until hi)`, pivot `ks(lo + l)` in lane `l` of each mask.
+  /** The [[backward]] pass's masks for one chunk of candidates. */
+  private final class Lanes(val below: Array[Long], val holds: Array[Long], val live: Array[Long],
+                            val toK: Array[Long], val end: Array[Boolean])
+
+  /** The backward pass over candidates `ks(lo until hi)`, candidate `ks(lo + l)` in lane `l` of
+    * each mask.
     *
     * An output set's masks, built once per (position, output function) for both passes:
-    * `below`, the lanes whose pivot is `>=` the set's floor, and `holds`, the lanes whose pivot
-    * the set holds. The backward pass fills, per cell `i * S + q`, `live` (an accepting suffix
-    * with every set floor `<= k`), `toK` (one that also outputs `k`) and `end` (ε-only steps
-    * lead to a final state at `n`). The forward pass carries `reach` (a prefix with set floors
-    * `<= k`) and `seen` (one that has also output `k`); a step is on a counted run for the
-    * lanes of `seen' & live(target) | reach' & toK(target)`, primes marking the masks after
-    * the step. It follows prefixes through cells without an accepting suffix too: a prefix of
-    * the trimmed sequence may die in `t`, and the tail rule must see it.
+    * `below`, the lanes whose candidate is `>=` the set's floor, and `holds`, the lanes whose
+    * candidate the set holds. Per cell `i * S + q`: `live` (an accepting suffix with every set
+    * floor `<= k`), `toK` (one that also outputs `k`) and `end` (ε-only steps lead to a final
+    * state at `n`). So `k` is a pivot iff its lane of `toK` is set at `(0, initial)`.
     */
-  private def windows(rows: Array[StepRow], fst: Fst, ks: Array[Int], lo: Int, hi: Int,
-                      first: Array[Int], last: Array[Int]): Unit = {
+  private def backward(rows: Array[StepRow], fst: Fst, ks: Array[Int], lo: Int, hi: Int): Lanes = {
     val n = rows.length
     val s = fst.numStates
     val all = if (hi - lo == 64) -1L else (1L << (hi - lo)) - 1
@@ -172,7 +129,7 @@ object PivotSearch {
       while (f < fns) {
         val o = row.sets(f)
         // Empty if no step on this item outputs it; then both masks stay 0. Otherwise lanes
-        // from `p` on hold the pivots >= o(0), and the set's pivots are among them.
+        // from `p` on hold the candidates >= o(0), and the set's candidates are among them.
         if (o.length > 0) {
           val at = if (o(0) <= ks(lo)) lo else java.util.Arrays.binarySearch(ks, lo, hi, o(0))
           var p = if (at >= 0) at else -at - 1
@@ -211,14 +168,31 @@ object PivotSearch {
       }
       i -= 1
     }
+    new Lanes(below, holds, live, toK, end)
+  }
 
+  /** The windows of the pivots in `mask`'s lanes of `lanes`, lane `l`'s at `first(lo + l)` and
+    * `last(lo + l)`.
+    *
+    * The forward pass carries `reach` (a prefix with every set's floor `<= k`) and `seen` (one
+    * that has also output `k`); a step is on a counted run for the lanes of `seen' &
+    * live(target) | reach' & toK(target)`, primes marking the masks after the step. It follows
+    * prefixes through cells without an accepting suffix too: a prefix of the trimmed sequence
+    * may die in `t`, and the tail rule must see it.
+    */
+  private def forward(rows: Array[StepRow], fst: Fst, lanes: Lanes, mask: Long, lo: Int,
+                      first: Array[Int], last: Array[Int]): Unit = {
+    import lanes._
+    val n = rows.length
+    val s = fst.numStates
+    val fns = rows(0).sets.length
     // hit(i): the lanes with a counted step at i that is not an ε self-loop. bad(i): the lanes
     // with a prefix counted so far in a final state at i that has no ε-only way to the end.
     val hit = new Array[Long](n)
     val bad = new Array[Long](n)
     var reach, seen, reachNext, seenNext = new Array[Long](s) // one array each
-    reach(fst.initial) = all
-    i = 0
+    reach(fst.initial) = mask
+    var i = 0
     while (i < n) {
       val row = rows(i)
       val fn = i * fns
@@ -226,7 +200,7 @@ object PivotSearch {
       java.util.Arrays.fill(reachNext, 0L)
       java.util.Arrays.fill(seenNext, 0L)
       var hits, bads = 0L
-      q = 0
+      var q = 0
       while (q < s) {
         val r = reach(q)
         if (r != 0) {
@@ -260,7 +234,7 @@ object PivotSearch {
     }
 
     // Every pivot has a counted labelled step, so each lane is hit at least once.
-    var todo = all
+    var todo = mask
     i = 0
     while (todo != 0) {
       var b = hit(i) & todo
@@ -268,7 +242,7 @@ object PivotSearch {
       while (b != 0) { first(lo + java.lang.Long.numberOfTrailingZeros(b)) = i; b &= b - 1 }
       i += 1
     }
-    todo = all
+    todo = mask
     i = n - 1
     while (todo != 0) {
       var b = hit(i) & todo

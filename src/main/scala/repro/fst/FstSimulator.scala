@@ -4,14 +4,13 @@ import repro.dict.Dictionary
 
 import scala.collection.mutable
 
-/** FST simulation: the two per-sequence backward DPs, accepting-run
-  * enumeration and candidate generation `Gπ(T)` (Sec. IV of the paper).
+/** FST simulation: the per-sequence backward DP, accepting-run enumeration
+  * and candidate generation `Gπ(T)` (Sec. IV of the paper).
   *
-  * [[floors]] serves every pivot at once (the grid's pivot search);
   * [[pivotCells]] serves one pivot `k` (D-SEQ's restricted DESQ-DFS and
-  * D-CAND's pivot tries). All methods work on fid-encoded sequences. Output
-  * sets are sorted `Array[Int]` with fid 0 = ε; a set that is not ε-only
-  * holds no ε.
+  * D-CAND's pivot tries) and, with `k` past every item, prunes the run
+  * enumeration. All methods work on fid-encoded sequences. Output sets are
+  * sorted `Array[Int]` with fid 0 = ε; a set that is not ε-only holds no ε.
   */
 object FstSimulator {
 
@@ -21,42 +20,13 @@ object FstSimulator {
     */
   type Run = IndexedSeq[Array[Int]]
 
-  /** `floor(i * S + q)`, `S = fst.numStates`: the smallest possible largest
-    * set floor over the accepting runs that consume `t(i+1..n)` from state
-    * `q`. A set's floor is its smallest item `<= cap`, ε = 0 included; a run
-    * through a set with no such item does not count. `Int.MaxValue` when no
-    * run counts, so with `cap = Int.MaxValue` a finite entry means the cell
-    * reaches a final state. Backward DP, O(|T|·|Δ|). Index `i` ranges 0..n;
-    * the `(n + 1) · S` cells must stay within `Int` range.
+  /** Requires that the per-sequence DPs' cells `i * s + q` (`i` in 0..n) of
+    * a sequence of `n` items on an FST of `s` states stay within `Int` range.
     */
-  def floors(t: Array[Int], fst: Fst, dict: Dictionary, cap: Int): Array[Int] = {
-    val n = t.length
-    val s = fst.numStates
+  private[repro] def requireCells(n: Int, s: Int): Unit =
     require((n + 1).toLong * s <= Int.MaxValue,
       s"a sequence of n = $n items on an FST of S = $s states has more position-state cells " +
         s"than an Int indexes (${Int.MaxValue})")
-    val floor = new Array[Int]((n + 1) * s)
-    for (q <- 0 until s) floor(n * s + q) = if (fst.isFinal(q)) 0 else Int.MaxValue
-    var i = n - 1
-    while (i >= 0) {
-      val row = fst.steps(t(i), dict)
-      val next = (i + 1) * s
-      var q = 0
-      while (q < s) {
-        var best = Int.MaxValue
-        var j = row.start(q)
-        while (j < row.start(q + 1)) {
-          val o0 = row.out(j)(0)
-          if (o0 <= cap) best = math.min(best, math.max(o0, floor(next + row.to(j))))
-          j += 1
-        }
-        floor(i * s + q) = best
-        q += 1
-      }
-      i -= 1
-    }
-    floor
-  }
 
   /** Bits of a [[pivotCells]] entry: `Live << seen`, `LeadsToLabel` (seen
     * only) and `End`.
@@ -66,7 +36,7 @@ object FstSimulator {
   final val End = 8
 
   /** The pivot-`k` backward pass over `t`, one byte per cell `i * S + q`
-    * (`S = fst.numStates`, `i` in 0..n).
+    * (`S = fst.numStates`, `i` in 0..n; see [[requireCells]]).
     *
     * A product state `(i, q, seen)` is state `q` after consuming
     * `t(0 until i)`, `seen` telling whether the run so far has output `k`.
@@ -89,6 +59,7 @@ object FstSimulator {
   def pivotCells(t: Array[Int], fst: Fst, dict: Dictionary, k: Int): Array[Byte] = {
     val n = t.length
     val s = fst.numStates
+    requireCells(n, s)
     val cells = new Array[Byte]((n + 1) * s)
     for (q <- 0 until s if fst.isFinal(q)) cells(n * s + q) = (Live << 1 | End).toByte
     var i = n - 1
@@ -131,7 +102,8 @@ object FstSimulator {
   def foreachAcceptingRun(t: Array[Int], fst: Fst, dict: Dictionary,
                           maxRuns: Int = 1 << 20)(f: Run => Unit): Unit = {
     val n = t.length
-    val floor = floors(t, fst, dict, Int.MaxValue)
+    // With k past every item, `Live << 1` marks the cells with an accepting suffix.
+    val cells = pivotCells(t, fst, dict, Int.MaxValue)
     var count = 0
     val cur = new Array[Array[Int]](n)
     def rec(i: Int, q: Int): Unit = {
@@ -148,7 +120,7 @@ object FstSimulator {
       val next = (i + 1) * fst.numStates
       var j = row.start(q)
       while (j < row.start(q + 1)) {
-        if (floor(next + row.to(j)) < Int.MaxValue) {
+        if ((cells(next + row.to(j)) & Live << 1) != 0) {
           cur(i) = row.out(j)
           rec(i + 1, row.to(j))
         }

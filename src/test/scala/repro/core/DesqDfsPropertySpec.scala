@@ -52,7 +52,6 @@ class DesqDfsPropertySpec extends AnyFunSuite {
     var epsCells = 0
     var kCells = 0
     var seenOnlyCells = 0
-    var cappedCells = 0
     val input = Gen.zip(Gen.oneOf(TestGen.patterns.map(_._2)), TestGen.hierarchy, weightedDb, Gen.oneOf(1L, 2L, 4L))
     check(Prop.forAllNoShrink(input) { case (patex, parents, wdb, sigma) =>
       val (dict, db) = TestGen.encodeLocal(wdb.map(_._1), parents)
@@ -63,14 +62,11 @@ class DesqDfsPropertySpec extends AnyFunSuite {
         val runs = runsFrom(t, fst, dict)
         val fromStart = mutable.ArrayBuffer.empty[FstSimulator.Run]
         FstSimulator.foreachAcceptingRun(t, fst, dict)(fromStart += _)
-        val floors = FstSimulator.floors(t, fst, dict, Int.MaxValue)
-        val capped = FstSimulator.floors(t, fst, dict, maxFid)
+        val uncapped = FstSimulator.pivotCells(t, fst, dict, Int.MaxValue)
         fromStart.map(_.toList.map(_.toSeq)) == runs(fst.initial).map(_.map(_.toSeq)) &&
           runs.indices.forall { c =>
             if (runs(c).exists(_.forall(isEps))) epsCells += 1
-            if (capped(c) != floors(c)) cappedCells += 1
-            floors(c) == leastFloor(runs(c), Int.MaxValue) && (floors(c) < Int.MaxValue) == runs(c).nonEmpty &&
-              capped(c) == leastFloor(runs(c), maxFid)
+            ((uncapped(c) & Live << 1) != 0) == runs(c).nonEmpty
           } &&
           (1 to maxFid).forall { k =>
             // The runs that count for k: every set's floor is <= k. Live
@@ -97,17 +93,7 @@ class DesqDfsPropertySpec extends AnyFunSuite {
     }, tests = 150)
     assert(epsCells > 100 && kCells > 1000 && seenOnlyCells > 1000,
       s"too few positive cells: ε $epsCells, k $kCells, seen only $seenOnlyCells")
-    assert(cappedCells > 100, s"too few cells where σ changes the floor: $cappedCells")
   }
-
-  /** `FstSimulator.floors`' definition: over `runs`, the least largest set
-    * floor, a set's floor being its smallest item `<= cap`; runs through a
-    * set without one do not count.
-    */
-  private def leastFloor(runs: List[List[Array[Int]]], cap: Int): Int =
-    runs.filter(_.forall(_.exists(_ <= cap)))
-      .map(_.map(_.filter(_ <= cap).min).maxOption.getOrElse(0))
-      .minOption.getOrElse(Int.MaxValue)
 
   /** `runs(i * S + q)`: the output sets of every accepting run from `(i, q)`,
     * enumerated with `byState`, `matches` and `outputs` instead of the step table.

@@ -222,9 +222,10 @@ class PivotSearchSpec extends AnyFunSuite {
     }
   }
 
+  private lazy val d100 = new repro.dict.Dictionary(Array.tabulate(100)(i => s"w$i"),
+    Array.fill(100)(Array.empty[Int]), Array.tabulate(100)(i => 100L - i))
+
   test("more than 64 pivots: every lane's window keeps exactly the pivot's candidates") {
-    val d100 = new repro.dict.Dictionary(Array.tabulate(100)(i => s"w$i"), Array.fill(100)(Array.empty[Int]),
-                                         Array.tabulate(100)(i => 100L - i))
     val t = new scala.util.Random(64).shuffle((1 to 100).toVector).toArray
     val f = FstCompiler.compile("(.)[.{0,1}(.)]", d100)
     val g = grid(t, f, d100, d100.size)
@@ -237,6 +238,25 @@ class PivotSearchSpec extends AnyFunSuite {
     }
     // k occurs once, so its window is at most the two items on either side of it.
     assert(g.pivots.indices.forall(p => g.last(p) - g.first(p) <= 4))
+  }
+
+  test("chunk edges: a whole chunk of 64 candidates without a pivot, and exactly 64 candidates") {
+    // The candidates are t's distinct items. In `spaced`, each of 1..64 has only items of
+    // 65..100 within two positions, so every pair with it has a larger item: the chunk of the 64
+    // smallest candidates holds no pivot. `full` has exactly 64, one all-ones lane mask.
+    val f = FstCompiler.compile("(.)[.{0,1}(.)]", d100)
+    val spaced = (1 to 64).flatMap(s => Seq(s, 65 + 2 * s % 36, 65 + (2 * s + 1) % 36)).toArray
+    val full = new scala.util.Random(63).shuffle((1 to 64).toVector).toArray
+    for ((t, candidates) <- Seq(spaced -> 100, full -> 64)) {
+      assert(t.distinct.length == candidates)
+      val g = grid(t, f, d100, d100.size)
+      assert(g.pivots.toSet == repro.fst.FstSimulator.candidates(t, f, d100).map(_.max), s"$candidates candidates")
+      assert(pivots(t, f, d100, d100.size).toSeq == g.pivots.toSeq)
+      val got = g.pivots.indices.map(p => g.pivots(p) -> (g.first(p), g.last(p))).toMap
+      assert(got == TestGen.bruteWindows(t, f, d100, d100.size), s"$candidates candidates")
+    }
+    assert(grid(spaced, f, d100, d100.size).pivots.toSeq == (65 to 100))
+    assert(grid(full, f, d100, d100.size).pivots.last == 64)
   }
 
   test("rewrite never drops relevant positions: candidates for the pivot agree") {
@@ -260,9 +280,10 @@ class PivotSearchSpec extends AnyFunSuite {
       val f = FstCompiler.compile(patex, d)
       for (t <- db; sigma <- Seq(1L, 3L)) {
         val maxFid = d.maxFrequentFid(sigma)
-        val got = grid(t, f, d, maxFid).pivots.toSet
+        val g = grid(t, f, d, maxFid)
         val want = TestGen.brutePivots(t, f, d, maxFid)
-        assert(got == want, s"t=${t.map(d.name).mkString(" ")} sigma=$sigma")
+        assert(g.pivots.toSet == want, s"t=${t.map(d.name).mkString(" ")} sigma=$sigma")
+        assert(pivots(t, f, d, maxFid).toSeq == g.pivots.toSeq, s"pivots, t=${t.map(d.name).mkString(" ")} sigma=$sigma")
       }
     }
 

@@ -53,6 +53,14 @@ class FstSemanticsSpec extends AnyFunSuite {
     assert(runs == 3)
   }
 
+  test("run enumeration rejects a position-state cell index past Int range") {
+    val states = 1024
+    val wide = new Fst(states, 0, Array.fill(states)(true), Array.empty)
+    val long = new Array[Int](1 << 21) // (2^21 + 1) * 1024 cells > 2^31 - 1
+    val e = intercept[IllegalArgumentException](FstSimulator.foreachAcceptingRun(long, wide, dict)(_ => ()))
+    assert(e.getMessage.contains("more position-state cells than an Int indexes"))
+  }
+
   test("σ-filtered candidates: Gσπex(T2) with σ=2 drops everything containing e") {
     val maxFid = dict.maxFrequentFid(2)
     assert(maxFid == c) // frequent: b, A, d, a1, c
