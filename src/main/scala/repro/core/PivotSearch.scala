@@ -2,6 +2,7 @@ package repro.core
 
 import repro.dict.Dictionary
 import repro.fst.{Fst, FstSimulator, StepRow}
+import repro.fst.FstSimulator.Lanes
 
 import scala.collection.mutable
 
@@ -12,7 +13,8 @@ import scala.collection.mutable
   * items, and then each pivot's window `ρk(T)`. Both rest on one counting rule (see
   * [[GridResult]]), the closed form of Th. 1's `⊕` that the tests' `PivotFold` checks against
   * the fold, applied by lane-parallel passes that give each candidate item one lane of 64-bit
-  * masks: a backward pass yields `K(T)` ([[pivots]]) and a forward pass the windows ([[grid]]).
+  * masks: the backward pass ([[FstSimulator.lanes]]) yields `K(T)` ([[pivots]]) and the lanes
+  * D-CAND's pivot tries read ([[search]]), and a forward pass the windows ([[grid]]).
   *
   * Items are fids; fid 0 is ε and is strictly smaller than every item, so an
   * ε-only output set needs no special casing: its floor is 0.
@@ -38,8 +40,11 @@ object PivotSearch {
     * candidates, and a run through a set whose floor is infrequent counts for none of them, as
     * it generates no candidate in `Gσπ(T)`. Sorted, without duplicates.
     */
-  def pivots(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Array[Int] =
-    search(t, fst, dict, maxFid, windows = false).pivots
+  def pivots(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Array[Int] = {
+    val ps = new mutable.ArrayBuilder.ofInt
+    search(t, fst, dict, maxFid)((_, _, _, k) => ps += k)
+    ps.result()
+  }
 
   /** [[pivots]] and every pivot's window (Sec. V-B).
     *
@@ -50,14 +55,24 @@ object PivotSearch {
     * each counted run of the trimmed sequence extends to one of `t` with the same output.
     * Where that fails, `last` is the end of `t`.
     */
-  def grid(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): GridResult =
-    search(t, fst, dict, maxFid, windows = true)
+  def grid(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): GridResult = {
+    val ps, first, last = new mutable.ArrayBuilder.ofInt
+    val from, to = new Array[Int](64) // the current chunk's windows, per lane
+    var done: Lanes = null
+    search(t, fst, dict, maxFid) { (rows, lanes, l, k) =>
+      if (lanes ne done) { forward(rows, fst, lanes, lanes.toK(fst.initial), from, to); done = lanes }
+      ps += k; first += from(l); last += to(l)
+    }
+    GridResult(ps.result(), first.result(), last.result())
+  }
 
-  /** [[grid]], whose `first` and `last` stay 0 unless `windows`. The candidates, the frequent
-    * non-ε items of `t`'s output sets, go 64 to a chunk; per chunk, the [[backward]] pass gives
-    * the chunk's pivots and, if `windows`, the [[forward]] pass their windows.
+  /** Calls `f(rows, lanes, l, k)` for each pivot `k` of `t`, in order: `rows` are `t`'s step
+    * rows, and `k` is lane `l` of `lanes`, the [[FstSimulator.lanes]] pass of its chunk. The
+    * candidates, the frequent non-ε items of `t`'s output sets, go 64 to a chunk; a chunk's
+    * pivots are the lanes of `toK` at `(0, initial)`.
     */
-  private def search(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int, windows: Boolean): GridResult = {
+  private[core] def search(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int)(
+      f: (Array[StepRow], Lanes, Int, Int) => Unit): Unit = {
     FstSimulator.requireCells(t.length, fst.numStates)
     val rows = new Array[StepRow](t.length)
     val cands = new mutable.ArrayBuilder.ofInt
@@ -74,105 +89,21 @@ object PivotSearch {
     var d, j = 0
     while (j < ks.length) { if (d == 0 || ks(j) != ks(d - 1)) { ks(d) = ks(j); d += 1 }; j += 1 }
 
-    val first = new Array[Int](d)
-    val last = new Array[Int](d)
-    var p, lo = 0
+    var lo = 0
     while (lo < d) {
-      val lanes = backward(rows, fst, ks, lo, math.min(lo + 64, d))
+      val lanes = FstSimulator.lanes(rows, fst, ks, lo, math.min(lo + 64, d))
       var mask = lanes.toK(fst.initial)
-      if (windows && mask != 0) forward(rows, fst, lanes, mask, lo, first, last)
-      // Keep the chunk's pivots, moved down over the candidates before them that are none.
       while (mask != 0) {
-        val c = lo + java.lang.Long.numberOfTrailingZeros(mask)
-        ks(p) = ks(c); first(p) = first(c); last(p) = last(c); p += 1
+        val l = java.lang.Long.numberOfTrailingZeros(mask)
+        f(rows, lanes, l, ks(lo + l))
         mask &= mask - 1
       }
       lo += 64
     }
-    def keep(a: Array[Int]) = if (a.length == p) a else java.util.Arrays.copyOf(a, p)
-    GridResult(keep(ks), keep(first), keep(last))
   }
 
-  /** The [[backward]] pass's masks for one chunk of candidates. */
-  private final class Lanes(val below: Array[Long], val holds: Array[Long], val live: Array[Long],
-                            val toK: Array[Long], val end: Array[Boolean])
-
-  /** The backward pass over candidates `ks(lo until hi)`, candidate `ks(lo + l)` in lane `l` of
-    * each mask.
-    *
-    * An output set's masks, built once per (position, output function) for both passes:
-    * `below`, the lanes whose candidate is `>=` the set's floor, and `holds`, the lanes whose
-    * candidate the set holds. Per cell `i * S + q`: `live` (an accepting suffix with every set
-    * floor `<= k`), `toK` (one that also outputs `k`) and `end` (ε-only steps lead to a final
-    * state at `n`). So `k` is a pivot iff its lane of `toK` is set at `(0, initial)`.
-    */
-  private def backward(rows: Array[StepRow], fst: Fst, ks: Array[Int], lo: Int, hi: Int): Lanes = {
-    val n = rows.length
-    val s = fst.numStates
-    val all = if (hi - lo == 64) -1L else (1L << (hi - lo)) - 1
-    val fns = rows(0).sets.length
-    val below = new Array[Long](n * fns)
-    val holds = new Array[Long](n * fns)
-    val live = new Array[Long]((n + 1) * s)
-    val toK = new Array[Long]((n + 1) * s)
-    val end = new Array[Boolean]((n + 1) * s)
-    var q = 0
-    while (q < s) {
-      if (fst.isFinal(q)) { live(n * s + q) = all; end(n * s + q) = true }
-      q += 1
-    }
-    var i = n - 1
-    while (i >= 0) {
-      val row = rows(i)
-      val fn = i * fns
-      var f = 0
-      while (f < fns) {
-        val o = row.sets(f)
-        // Empty if no step on this item outputs it; then both masks stay 0. Otherwise lanes
-        // from `p` on hold the candidates >= o(0), and the set's candidates are among them.
-        if (o.length > 0) {
-          val at = if (o(0) <= ks(lo)) lo else java.util.Arrays.binarySearch(ks, lo, hi, o(0))
-          var p = if (at >= 0) at else -at - 1
-          below(fn + f) = if (p == hi) 0L else all & -1L << (p - lo)
-          var h = 0L
-          var m = 0
-          while (m < o.length && p < hi) {
-            while (p < hi && ks(p) < o(m)) p += 1
-            if (p < hi && ks(p) == o(m)) h |= 1L << (p - lo)
-            m += 1
-          }
-          holds(fn + f) = h
-        }
-        f += 1
-      }
-      val next = (i + 1) * s
-      q = 0
-      while (q < s) {
-        var l, k = 0L
-        var e = false
-        var j = row.start(q)
-        while (j < row.start(q + 1)) {
-          val to = next + row.to(j)
-          if (row.epsOnly(j)) { l |= live(to); k |= toK(to); e |= end(to) }
-          else {
-            val b = below(fn + row.outFn(j))
-            l |= b & live(to)
-            k |= b & (toK(to) | holds(fn + row.outFn(j)) & live(to))
-          }
-          j += 1
-        }
-        live(i * s + q) = l
-        toK(i * s + q) = k
-        end(i * s + q) = e
-        q += 1
-      }
-      i -= 1
-    }
-    new Lanes(below, holds, live, toK, end)
-  }
-
-  /** The windows of the pivots in `mask`'s lanes of `lanes`, lane `l`'s at `first(lo + l)` and
-    * `last(lo + l)`.
+  /** The windows of the pivots in `mask`'s lanes of `lanes`, lane `l`'s at `first(l)` and
+    * `last(l)`.
     *
     * The forward pass carries `reach` (a prefix with every set's floor `<= k`) and `seen` (one
     * that has also output `k`); a step is on a counted run for the lanes of `seen' &
@@ -180,7 +111,7 @@ object PivotSearch {
     * prefixes through cells without an accepting suffix too: a prefix of the trimmed sequence
     * may die in `t`, and the tail rule must see it.
     */
-  private def forward(rows: Array[StepRow], fst: Fst, lanes: Lanes, mask: Long, lo: Int,
+  private def forward(rows: Array[StepRow], fst: Fst, lanes: Lanes, mask: Long,
                       first: Array[Int], last: Array[Int]): Unit = {
     import lanes._
     val n = rows.length
@@ -239,7 +170,7 @@ object PivotSearch {
     while (todo != 0) {
       var b = hit(i) & todo
       todo &= ~b
-      while (b != 0) { first(lo + java.lang.Long.numberOfTrailingZeros(b)) = i; b &= b - 1 }
+      while (b != 0) { first(java.lang.Long.numberOfTrailingZeros(b)) = i; b &= b - 1 }
       i += 1
     }
     todo = mask
@@ -250,7 +181,7 @@ object PivotSearch {
       val keepTail = if (i + 1 < n) bad(i + 1) else 0L
       while (b != 0) {
         val l = java.lang.Long.numberOfTrailingZeros(b)
-        last(lo + l) = if ((keepTail >>> l & 1) != 0) n - 1 else i
+        last(l) = if ((keepTail >>> l & 1) != 0) n - 1 else i
         b &= b - 1
       }
       i -= 1

@@ -7,10 +7,12 @@ import scala.collection.mutable
 /** FST simulation: the per-sequence backward DP, accepting-run enumeration
   * and candidate generation `Gπ(T)` (Sec. IV of the paper).
   *
-  * [[pivotCells]] serves one pivot `k` (D-SEQ's restricted DESQ-DFS and
-  * D-CAND's pivot tries) and, with `k` past every item, prunes the run
-  * enumeration. All methods work on fid-encoded sequences. Output sets are
-  * sorted `Array[Int]` with fid 0 = ε; a set that is not ε-only holds no ε.
+  * [[lanes]] runs the backward DP for 64 candidate pivots at once (the pivot
+  * search, D-SEQ's windows and D-CAND's pivot tries); [[pivotCells]] gives
+  * the same bits for one pivot `k` (DESQ-DFS) and, with `k` past every item,
+  * prunes the run enumeration. All methods work on fid-encoded sequences.
+  * Output sets are sorted `Array[Int]` with fid 0 = ε; a set that is not
+  * ε-only holds no ε.
   */
 object FstSimulator {
 
@@ -34,6 +36,91 @@ object FstSimulator {
   final val Live = 1
   final val LeadsToLabel = 4
   final val End = 8
+
+  /** The masks of one [[lanes]] pass. */
+  private[repro] final class Lanes(val below: Array[Long], val holds: Array[Long], val live: Array[Long],
+                                   val toK: Array[Long], val toLabel: Array[Long], val end: Array[Boolean])
+
+  /** The backward DP over the step rows `rows` of a sequence `t` for the
+    * sorted candidates `ks(lo until hi)` (at most 64) at once, candidate
+    * `ks(lo + l)` in lane `l` of each mask.
+    *
+    * An output set's masks, built once per (position, output function):
+    * `below`, the lanes whose candidate is `>=` the set's floor, and
+    * `holds`, the lanes whose candidate the set holds. Per cell `i * S + q`
+    * (see [[requireCells]]), lane `l` of `live`, `toK` and `toLabel` is
+    * `pivotCells(t, fst, dict, ks(lo + l))`'s bit `Live << 1`, `Live` and
+    * `LeadsToLabel`, and `end` is its `End` bit, which does not depend on
+    * `k`. So `k` is a pivot iff its lane of `toK` is set at `(0, initial)`.
+    */
+  private[repro] def lanes(rows: Array[StepRow], fst: Fst, ks: Array[Int], lo: Int, hi: Int): Lanes = {
+    val n = rows.length
+    val s = fst.numStates
+    val all = if (hi - lo == 64) -1L else (1L << (hi - lo)) - 1
+    val fns = rows(0).sets.length
+    val below = new Array[Long](n * fns)
+    val holds = new Array[Long](n * fns)
+    val live = new Array[Long]((n + 1) * s)
+    val toK = new Array[Long]((n + 1) * s)
+    val toLabel = new Array[Long]((n + 1) * s)
+    val end = new Array[Boolean]((n + 1) * s)
+    var q = 0
+    while (q < s) {
+      if (fst.isFinal(q)) { live(n * s + q) = all; end(n * s + q) = true }
+      q += 1
+    }
+    var i = n - 1
+    while (i >= 0) {
+      val row = rows(i)
+      val fn = i * fns
+      var f = 0
+      while (f < fns) {
+        val o = row.sets(f)
+        // Empty if no step on this item outputs it; then both masks stay 0. Otherwise lanes
+        // from `p` on hold the candidates >= o(0), and the set's candidates are among them.
+        if (o.length > 0) {
+          val at = if (o(0) <= ks(lo)) lo else java.util.Arrays.binarySearch(ks, lo, hi, o(0))
+          var p = if (at >= 0) at else -at - 1
+          below(fn + f) = if (p == hi) 0L else all & -1L << (p - lo)
+          var h = 0L
+          var m = 0
+          while (m < o.length && p < hi) {
+            while (p < hi && ks(p) < o(m)) p += 1
+            if (p < hi && ks(p) == o(m)) h |= 1L << (p - lo)
+            m += 1
+          }
+          holds(fn + f) = h
+        }
+        f += 1
+      }
+      val next = (i + 1) * s
+      q = 0
+      while (q < s) {
+        var l, k, x = 0L
+        var e = false
+        var j = row.start(q)
+        while (j < row.start(q + 1)) {
+          val to = next + row.to(j)
+          if (row.epsOnly(j)) { l |= live(to); k |= toK(to); x |= toLabel(to); e |= end(to) }
+          else {
+            val b = below(fn + row.outFn(j))
+            val bl = b & live(to) // a labelled step into a live seen state
+            l |= bl
+            x |= bl
+            k |= b & toK(to) | bl & holds(fn + row.outFn(j))
+          }
+          j += 1
+        }
+        live(i * s + q) = l
+        toK(i * s + q) = k
+        toLabel(i * s + q) = x
+        end(i * s + q) = e
+        q += 1
+      }
+      i -= 1
+    }
+    new Lanes(below, holds, live, toK, toLabel, end)
+  }
 
   /** The pivot-`k` backward pass over `t`, one byte per cell `i * S + q`
     * (`S = fst.numStates`, `i` in 0..n; see [[requireCells]]).

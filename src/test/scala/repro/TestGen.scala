@@ -127,6 +127,24 @@ object TestGen {
     "alt-groups"   -> "[(l2)|(l3)](top^)"
   )
 
+  /** Items w0..w99 without a hierarchy, `w$i` being fid `i + 1`, for sequences whose
+    * candidates fill more than one chunk of 64 lanes under [[pairs100]].
+    */
+  lazy val d100: Dictionary = new Dictionary(Array.tabulate(100)(i => s"w$i"),
+    Array.fill(100)(Array.empty[Int]), Array.tabulate(100)(i => 100L - i))
+
+  /** Pairs of an item and one of the next two, over [[d100]]; a pair's candidates are its items. */
+  val pairs100: String = "(.)[.{0,1}(.)]"
+
+  /** A shuffle of [[d100]]'s fids: more than 64 pivots under [[pairs100]]. */
+  lazy val shuffled100: Array[Int] = new scala.util.Random(64).shuffle((1 to 100).toVector).toArray
+
+  /** [[d100]]'s fids, each of 1..64 with only items of 65..100 within two positions: every pair
+    * with one of them has a larger item, so the chunk of the 64 smallest candidates holds no
+    * pivot under [[pairs100]].
+    */
+  lazy val spaced100: Array[Int] = (1 to 64).flatMap(s => Seq(s, 65 + 2 * s % 36, 65 + (2 * s + 1) % 36)).toArray
+
   /** Union of pivots over `Gσπ(T)` computed the slow way — ground truth for
     * the grid DP.
     */

@@ -42,6 +42,50 @@ class DCandPropertySpec extends SparkSpec {
     }, tests = 200)
   }
 
+  /** 400 nytLite sentences: a real hierarchy. */
+  private lazy val nyt = SeqData.encode(SeqData.nytLite(spark, sf = 0.01, seed = 5))
+  private lazy val sentences = nyt.sequences.collect()
+
+  test("each pivot's lane of the backward lane pass equals pivotCells, cell by cell") {
+    import FstSimulator.{End, LeadsToLabel, Live}
+    var pivots = 0
+    def same(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Boolean = {
+      var ok = true
+      PivotSearch.search(t, fst, dict, maxFid) { (_, lanes, l, k) =>
+        val cells = FstSimulator.pivotCells(t, fst, dict, k)
+        def bit(a: Array[Long], c: Int, b: Int) = if ((a(c) >>> l & 1) != 0) b else 0
+        ok &&= cells.length == lanes.live.length && cells.indices.forall { c =>
+          cells(c) == (bit(lanes.live, c, Live << 1) | bit(lanes.toK, c, Live) |
+            bit(lanes.toLabel, c, LeadsToLabel) | (if (lanes.end(c)) End else 0))
+        }
+        pivots += 1
+      }
+      ok
+    }
+    for ((name, patex) <- TestGen.patterns) withClue(name) {
+      check(Prop.forAllNoShrink(Gen.choose(0L, 1L << 20), Gen.oneOf(1L, 3L)) { (seed, sigma) =>
+        val (dict, db) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 8, maxLen = 8), TestGen.toyParents)
+        val fst = FstCompiler.compile(patex, dict)
+        db.forall(same(_, fst, dict, dict.maxFrequentFid(sigma)))
+      }, tests = 25)
+    }
+    for (c <- Seq(Constraints.t3(5, 1, 5), Constraints.n5(5))) {
+      val fst = FstCompiler.compile(c.patex, nyt.dict)
+      val maxFid = nyt.dict.maxFrequentFid(c.sigma)
+      assert(sentences.forall(same(_, fst, nyt.dict, maxFid)), c.name)
+    }
+    assert(pivots > 1000, s"only $pivots pivots")
+    // d100's candidates are its fids 1..100: pivot k is lane (k - 1) % 64, of the second chunk
+    // iff k > 64.
+    val pairs = FstCompiler.compile(TestGen.pairs100, TestGen.d100)
+    for (t <- Seq(TestGen.shuffled100, TestGen.spaced100)) withClue(t.mkString(" ")) {
+      val laneOf = mutable.Map.empty[Int, Int]
+      PivotSearch.search(t, pairs, TestGen.d100, TestGen.d100.size)((_, _, l, k) => laneOf(k) = l)
+      assert(laneOf.keys.exists(_ > 64) && laneOf.forall { case (k, l) => l == (k - 1) % 64 })
+      assert(same(t, pairs, TestGen.d100, TestGen.d100.size))
+    }
+  }
+
   test("buildForSequence serializes like the run-by-run trie, minimized and raw") {
     def bytesOf(nfas: Map[Int, Nfa]): Map[Int, Seq[Byte]] =
       nfas.map { case (k, nfa) => k -> NfaSerializer.serialize(nfa).bytes.toSeq }
@@ -58,8 +102,6 @@ class DCandPropertySpec extends SparkSpec {
       }, tests = 25)
     }
     // A real hierarchy: 400 nytLite sentences.
-    val nyt = SeqData.encode(SeqData.nytLite(spark, sf = 0.01, seed = 5))
-    val sentences = nyt.sequences.collect()
     for (c <- Seq(Constraints.t3(5, 1, 5), Constraints.n5(5))) {
       val fst = FstCompiler.compile(c.patex, nyt.dict)
       val maxFid = nyt.dict.maxFrequentFid(c.sigma)

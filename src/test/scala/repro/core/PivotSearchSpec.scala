@@ -222,12 +222,11 @@ class PivotSearchSpec extends AnyFunSuite {
     }
   }
 
-  private lazy val d100 = new repro.dict.Dictionary(Array.tabulate(100)(i => s"w$i"),
-    Array.fill(100)(Array.empty[Int]), Array.tabulate(100)(i => 100L - i))
+  import TestGen.{d100, pairs100}
 
   test("more than 64 pivots: every lane's window keeps exactly the pivot's candidates") {
-    val t = new scala.util.Random(64).shuffle((1 to 100).toVector).toArray
-    val f = FstCompiler.compile("(.)[.{0,1}(.)]", d100)
+    val t = TestGen.shuffled100
+    val f = FstCompiler.compile(pairs100, d100)
     val g = grid(t, f, d100, d100.size)
     assert(g.pivots.length > 64)
     val all = repro.fst.FstSimulator.candidates(t, f, d100)
@@ -241,11 +240,10 @@ class PivotSearchSpec extends AnyFunSuite {
   }
 
   test("chunk edges: a whole chunk of 64 candidates without a pivot, and exactly 64 candidates") {
-    // The candidates are t's distinct items. In `spaced`, each of 1..64 has only items of
-    // 65..100 within two positions, so every pair with it has a larger item: the chunk of the 64
-    // smallest candidates holds no pivot. `full` has exactly 64, one all-ones lane mask.
-    val f = FstCompiler.compile("(.)[.{0,1}(.)]", d100)
-    val spaced = (1 to 64).flatMap(s => Seq(s, 65 + 2 * s % 36, 65 + (2 * s + 1) % 36)).toArray
+    // The candidates are t's distinct items. `spaced`'s chunk of the 64 smallest candidates
+    // holds no pivot. `full` has exactly 64, one all-ones lane mask.
+    val f = FstCompiler.compile(pairs100, d100)
+    val spaced = TestGen.spaced100
     val full = new scala.util.Random(63).shuffle((1 to 64).toVector).toArray
     for ((t, candidates) <- Seq(spaced -> 100, full -> 64)) {
       assert(t.distinct.length == candidates)
