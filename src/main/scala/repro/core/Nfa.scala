@@ -1,8 +1,8 @@
 package repro.core
 
 import repro.dict.Dictionary
-import repro.fst.{BlowUpException, Fst, FstSimulator}
-import repro.fst.FstSimulator.{End, LeadsToLabel, Live}
+import repro.fst.{BlowUpException, Fst, StepRow}
+import repro.fst.FstSimulator.Lanes
 
 /** NFA over output sets, used by D-CAND to represent `ρk(T)` — the candidate
   * subsequences of input sequence `T` with pivot item `k` — in compressed form
@@ -56,8 +56,8 @@ object Nfa {
   }
 
   /** Build the per-pivot NFAs for input sequence `t` (Sec. VI-A): for each
-    * pivot `k` of the grid ([[PivotSearch.pivots]]), the trie of the restricted
-    * label strings of the accepting runs `r` with `k ∈ K(r)`, minimized.
+    * pivot `k` of `t` (Th. 1, found by [[PivotSearch.search]]), the trie of the
+    * restricted label strings of the accepting runs `r` with `k ∈ K(r)`, minimized.
     *
     * A run's label string is its non-ε output sets, each restricted to its
     * items `<= k` (a slice of the sorted set, interned once per sequence).
@@ -84,18 +84,19 @@ object Nfa {
     require(2L * (t.length + 1) * fst.numStates <= Int.MaxValue,
       s"D-CAND: a sequence of ${t.length} items on an FST of ${fst.numStates} states has more " +
         s"product states than an Int indexes (${Int.MaxValue})")
-    val pivots = PivotSearch.pivots(t, fst, dict, maxFid)
-    if (pivots.isEmpty) return Map.empty
-    val tries = new PivotTries(t, fst, dict, maxNodes, minimize)
-    pivots.iterator.map { k =>
-      tries.pivot(k)
-      k -> tries.build()
-    }.toMap
+    val nfas = Map.newBuilder[Int, Nfa]
+    var tries: PivotTries = null
+    PivotSearch.search(t, fst, dict, maxFid) { (rows, lanes, l, k) =>
+      if (tries == null) tries = new PivotTries(rows, fst, maxNodes, minimize)
+      nfas += k -> tries.build(k, lanes, l)
+    }
+    nfas.result()
   }
 
-  /** The pivot tries of one sequence `t`, walked node by node.
+  /** The pivot tries of one sequence `t` with step rows `rows`, walked node
+    * by node.
     *
-    * A product state `(i, q, seen)` of [[FstSimulator.pivotCells]] is packed
+    * A product state `(i, q, seen)`, state `q` after `t(0 until i)`, is packed
     * into `(i * S + q) << 1 | seen`. It is live for pivot `k` iff one of its
     * accepting suffixes completes a run `r` with `k ∈ K(r)`, given a prefix
     * with every set floor `<= k` that has output `k` iff `seen`.
@@ -107,21 +108,22 @@ object Nfa {
     * labelled step into a live state. Children are ordered by the first step
     * with their label, which is the order in which run enumeration first
     * inserts them; a node is final iff ε-only steps lead from one of its
-    * seen states to position `n`. The pivot's cells mark both facts per
+    * seen states to position `n`. Pivot `k`'s lane of the sequence's
+    * backward pass ([[repro.fst.FstSimulator.lanes]]) marks both facts per
     * product state, so the walk enters only states that lead to a labelled
-    * step.
+    * step: seen, `live`, `toLabel` and `end`; unseen, `toK` for the first two.
     */
-  private final class PivotTries(t: Array[Int], fst: Fst, dict: Dictionary,
-                                 maxNodes: Int, minimize: Boolean) {
-    private val n = t.length
+  private final class PivotTries(rows: Array[StepRow], fst: Fst, maxNodes: Int, minimize: Boolean) {
+    private val n = rows.length
     private val s = fst.numStates
-    private val rows = Array.tabulate(n)(i => fst.steps(t(i), dict))
-    private val rowOffset = rows.scanLeft(0)(_ + _.to.length) // first step index of position i
+    private val rowOffset = new Array[Int](n + 1) // first step index of position i
+    for (i <- 0 until n) rowOffset(i + 1) = rowOffset(i) + rows(i).to.length
     private val labels = new SliceInterner
     private var nodes = 0 // expanded over all pivots, for the cap
 
     private var k = 0
-    private var cells: Array[Byte] = _ // the current pivot's
+    private var lanes: Lanes = _ // of the current pivot's chunk, its lane `lane`
+    private var lane = 0
     // Label ids of the slices `out(0 until u)` per step index `g` and slice
     // end `u`, at `sliceOffset(g) + u`; -1 until interned.
     private val sliceOffset = {
@@ -134,16 +136,10 @@ object Nfa {
     }
     private val sliceLabel = Array.fill(sliceOffset(rowOffset(n)))(-1)
 
-    /** Switches to pivot `k`. */
-    def pivot(pivot: Int): Unit = {
-      k = pivot
-      cells = FstSimulator.pivotCells(t, fst, dict, k)
-    }
-
-    private def isLive(p: Int): Boolean = (cells(p >>> 1) & Live << (p & 1)) != 0
-    private def leadsToLabel(p: Int): Boolean =
-      (cells(p >>> 1) & (if ((p & 1) != 0) LeadsToLabel else Live)) != 0 // unseen, the bits are equal
-    private def leadsToEnd(p: Int): Boolean = (p & 1) != 0 && (cells(p >>> 1) & End) != 0
+    private def bit(mask: Array[Long], cell: Int): Boolean = (mask(cell) >>> lane & 1) != 0
+    private def isLive(p: Int): Boolean = bit(if ((p & 1) != 0) lanes.live else lanes.toK, p >>> 1)
+    private def leadsToLabel(p: Int): Boolean = bit(if ((p & 1) != 0) lanes.toLabel else lanes.toK, p >>> 1)
+    private def leadsToEnd(p: Int): Boolean = (p & 1) != 0 && lanes.end(p >>> 1)
 
     /** `labelId << 1 | (label holds k)` of labelled step `j` at position
       * `i`, whose set `o` has a floor `<= k` and whose target is live: the
@@ -179,8 +175,11 @@ object Nfa {
 
     private val classes = new RevuzClasses(merge = minimize)
 
-    /** The current pivot's NFA. */
-    def build(): Nfa = {
+    /** The NFA of pivot `pivot`, lane `l` of `chunk`. */
+    def build(pivot: Int, chunk: Lanes, l: Int): Nfa = {
+      k = pivot
+      lanes = chunk
+      lane = l
       pairState(0) = fst.initial << 1
       pairNext(0) = -1
       pairs = 1
@@ -234,7 +233,7 @@ object Nfa {
           if (row.epsOnly(j)) {
             val tp = target | p & 1
             if (leadsToLabel(tp) && visited(tp) != epoch) { visited(tp) = epoch; walk(tp) }
-          } else if ((cells(target >>> 1) & Live << 1) != 0) {
+          } else if (bit(lanes.live, target >>> 1)) {
             val l = label(i, j, o)
             val tp = target | (p | l) & 1
             if (isLive(tp)) addPair(l >>> 1, tp)

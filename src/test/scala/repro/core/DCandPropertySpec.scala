@@ -107,6 +107,10 @@ class DCandPropertySpec extends SparkSpec {
       val maxFid = nyt.dict.maxFrequentFid(c.sigma)
       assert(sentences.forall(same(_, fst, nyt.dict, maxFid)), c.name)
     }
+    // Pivots in the second chunk of 64 candidate lanes, one behind a chunk without a pivot.
+    val pairs = FstCompiler.compile(TestGen.pairs100, TestGen.d100)
+    for (t <- Seq(TestGen.shuffled100, TestGen.spaced100))
+      assert(same(t, pairs, TestGen.d100, TestGen.d100.size), t.mkString(" "))
   }
 
   test("minimize on the miner's decoded trie equals the builder's minimized NFA") {
