@@ -125,7 +125,7 @@ object Nfa {
     private var lanes: Lanes = _ // of the current pivot's chunk, its lane `lane`
     private var lane = 0
     // Label ids of the slices `out(0 until u)` per step index `g` and slice
-    // end `u`, at `sliceOffset(g) + u`; -1 until interned.
+    // end `u`, at `sliceOffset(g) + u`, plus 1; 0 until interned.
     private val sliceOffset = {
       val a = new Array[Int](rowOffset(n) + 1)
       for (i <- 0 until n; j <- rows(i).to.indices) {
@@ -134,7 +134,7 @@ object Nfa {
       }
       a
     }
-    private val sliceLabel = Array.fill(sliceOffset(rowOffset(n)))(-1)
+    private val sliceLabel = new Array[Int](sliceOffset(rowOffset(n)))
 
     private def bit(mask: Array[Long], cell: Int): Boolean = (mask(cell) >>> lane & 1) != 0
     private def isLive(p: Int): Boolean = bit(if ((p & 1) != 0) lanes.live else lanes.toK, p >>> 1)
@@ -149,8 +149,8 @@ object Nfa {
       var until = 1
       while (until < o.length && o(until) <= k) until += 1
       val slot = sliceOffset(rowOffset(i) + j) + until
-      if (sliceLabel(slot) < 0) sliceLabel(slot) = labels.intern(o, 0, until)
-      sliceLabel(slot) << 1 | (if (o(until - 1) == k) 1 else 0)
+      if (sliceLabel(slot) == 0) sliceLabel(slot) = labels.intern(o, 0, until) + 1
+      (sliceLabel(slot) - 1) << 1 | (if (o(until - 1) == k) 1 else 0)
     }
 
     // Labelled steps into live states, in walk order, linked per child:

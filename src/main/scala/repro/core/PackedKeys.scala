@@ -8,7 +8,7 @@ private[core] final class SliceInterner {
   private var slices = new Array[Array[Int]](16)
   private var hashes = new Array[Int](16)
   private var n = 0
-  private var slots = Array.fill(32)(-1) // slice ids, open addressing by hash
+  private var slots = new Array[Int](32) // slice id + 1, or 0 if free; open addressing by hash
 
   /** The slices by id, as an [[Nfa]]'s label table; entries past the last id are null. */
   def table: Array[Array[Int]] = slices
@@ -21,8 +21,8 @@ private[core] final class SliceInterner {
     h ^= h >>> 16
     var mask = slots.length - 1
     var s = h & mask
-    while (slots(s) >= 0) {
-      val id = slots(s)
+    while (slots(s) != 0) {
+      val id = slots(s) - 1
       if (hashes(id) == h && java.util.Arrays.equals(slices(id), 0, slices(id).length, a, from, until))
         return id
       s = (s + 1) & mask
@@ -33,16 +33,16 @@ private[core] final class SliceInterner {
     }
     slices(n) = java.util.Arrays.copyOfRange(a, from, until)
     hashes(n) = h
-    slots(s) = n
+    slots(s) = n + 1
     n += 1
     if (2 * n > slots.length) {
-      slots = Array.fill(2 * slots.length)(-1)
+      slots = new Array[Int](2 * slots.length)
       mask = slots.length - 1
       var id = 0
       while (id < n) {
         var t = hashes(id) & mask
-        while (slots(t) >= 0) t = (t + 1) & mask
-        slots(t) = id
+        while (slots(t) != 0) t = (t + 1) & mask
+        slots(t) = id + 1
         id += 1
       }
     }
