@@ -15,7 +15,8 @@ import scala.collection.mutable
   * complete candidate for `T` if some snapshot can consume the rest of `T`
   * producing only ε.
   *
-  * Snapshots are the product states of [[FstSimulator.pivotCells]], one pass
+  * Snapshots are the product states of [[FstSimulator.pivotCells]], the
+  * one-lane run of the backward lane kernel [[FstSimulator.lanes]], one pass
   * per sequence with `k` the item cap, a snapshot being `seen` unless pivot
   * pruning is on for its node. The search keeps only live snapshots, follows
   * an ε-step only into a state that leads to a labelled step, and counts a
@@ -62,9 +63,7 @@ object DesqDfs {
     val maxLen = db.iterator.map(_._1.length).max
     require(maxLen <= MaxSequenceLength,
       s"DESQ-DFS supports sequences of at most $MaxSequenceLength items; got one of $maxLen")
-    require((maxLen + 1).toLong * fst.numStates <= Int.MaxValue,
-      s"DESQ-DFS: a sequence of $maxLen items on an FST of ${fst.numStates} states has more " +
-        s"position-state cells than an Int indexes (${Int.MaxValue})")
+    FstSimulator.requireCells(maxLen, fst.numStates)
     val itemCap = pivot.fold(maxFid)(math.min(_, maxFid))
     if (pivot.exists(_ > itemCap)) return Map.empty // an infrequent pivot is in no frequent pattern
     new Search(db.map(_._1).toArray, db.map(_._2).toArray, fst, dict, sigma, itemCap,

@@ -39,15 +39,15 @@ object NfaSerializer {
   def serialize(nfa: Nfa): Bytes = {
     val out = new mutable.ArrayBuilder.ofByte
     def put(token: Int): Unit = Varint.put(out, token)
-    val visitId = Array.fill(nfa.numStates)(-1) // original state -> DFS id
-    visitId(0) = 0
+    val visitId = new Array[Int](nfa.numStates) // original state -> DFS id + 1, or 0 if unvisited
+    visitId(0) = 1
     var visited = 1
     var cursor = 0 // DFS id of the previous transition's target (start: root)
-    val labelIndex = Array.fill(nfa.labels.length)(-1) // label id -> first-write index
+    val labelIndex = new Array[Int](nfa.labels.length) // label id -> first-write index + 1, or 0
     var written = 0
 
     def dfs(q: Int): Unit = {
-      val qid = visitId(q)
+      val qid = visitId(q) - 1
       val es = nfa.edges(q)
       var j = 0
       while (j < es.length) {
@@ -55,22 +55,22 @@ object NfaSerializer {
         val t = es(j + 1)
         j += 2
         if (cursor != qid) { put(TagSrc); put(qid) }
-        if (labelIndex(id) >= 0) { put(TagLabelRef); put(labelIndex(id)) }
+        if (labelIndex(id) > 0) { put(TagLabelRef); put(labelIndex(id) - 1) }
         else {
-          labelIndex(id) = written
           written += 1
+          labelIndex(id) = written
           val label = nfa.labels(id)
           put(TagLabel)
           put(label.length)
           var prev = 0
           for (w <- label) { put(w - prev); prev = w }
         }
-        if (visitId(t) >= 0) {
-          put(TagTgt); put(visitId(t))
-          cursor = visitId(t)
+        if (visitId(t) > 0) {
+          cursor = visitId(t) - 1
+          put(TagTgt); put(cursor)
         } else {
           val tid = visited
-          visitId(t) = tid
+          visitId(t) = tid + 1
           visited += 1
           if (nfa.isFinal(t)) put(TagFinal)
           cursor = tid

@@ -7,10 +7,11 @@ import scala.collection.mutable
 /** FST simulation: the per-sequence backward DP, accepting-run enumeration
   * and candidate generation `Gπ(T)` (Sec. IV of the paper).
   *
-  * [[lanes]] runs the backward DP for 64 candidate pivots at once (the pivot
-  * search, D-SEQ's windows and D-CAND's pivot tries); [[pivotCells]] gives
-  * the same bits for one pivot `k` (DESQ-DFS) and, with `k` past every item,
-  * prunes the run enumeration. All methods work on fid-encoded sequences.
+  * [[lanes]] is the one backward DP. It runs for 64 candidate pivots at once
+  * (the pivot search, D-SEQ's windows and D-CAND's pivot tries);
+  * [[pivotCells]] is its one-lane run for one pivot `k`, packed into a byte
+  * per cell (DESQ-DFS and, with `k` past every item, the run enumeration's
+  * pruning). All methods work on fid-encoded sequences.
   * Output sets are sorted `Array[Int]` with fid 0 = ε; a set that is not
   * ε-only holds no ε.
   */
@@ -57,7 +58,7 @@ object FstSimulator {
     val n = rows.length
     val s = fst.numStates
     val all = if (hi - lo == 64) -1L else (1L << (hi - lo)) - 1
-    val fns = rows(0).sets.length
+    val fns = if (n == 0) 0 else rows(0).sets.length
     val below = new Array[Long](n * fns)
     val holds = new Array[Long](n * fns)
     val live = new Array[Long]((n + 1) * s)
@@ -123,7 +124,8 @@ object FstSimulator {
   }
 
   /** The pivot-`k` backward pass over `t`, one byte per cell `i * S + q`
-    * (`S = fst.numStates`, `i` in 0..n; see [[requireCells]]).
+    * (`S = fst.numStates`, `i` in 0..n; see [[requireCells]]): the one-lane
+    * [[lanes]] run for `k >= 0`, its masks packed into the bits below.
     *
     * A product state `(i, q, seen)` is state `q` after consuming
     * `t(0 until i)`, `seen` telling whether the run so far has output `k`.
@@ -141,41 +143,18 @@ object FstSimulator {
     *    a run that must still output `k` can only do so through such a step.
     *  - `End`: ε-only steps lead from `(i, q)` to a final state at `n`.
     *
-    * O(|T|·|Δ|).
+    * O(|T|·|Δ|). Only the bytes are kept: DESQ-DFS holds the cells of every
+    * sequence it mines, and [[Lanes]] takes 25 bytes per cell.
     */
   def pivotCells(t: Array[Int], fst: Fst, dict: Dictionary, k: Int): Array[Byte] = {
-    val n = t.length
-    val s = fst.numStates
-    requireCells(n, s)
-    val cells = new Array[Byte]((n + 1) * s)
-    for (q <- 0 until s if fst.isFinal(q)) cells(n * s + q) = (Live << 1 | End).toByte
-    var i = n - 1
-    while (i >= 0) {
-      val row = fst.steps(t(i), dict)
-      val next = (i + 1) * s
-      var q = 0
-      while (q < s) {
-        var bits = 0
-        var j = row.start(q)
-        while (j < row.start(q + 1)) {
-          val o = row.out(j)
-          if (o(0) <= k) {
-            val b = cells(next + row.to(j))
-            if (row.epsOnly(j)) bits |= b // each bit implies its `seen`'s live bit
-            else if ((b & Live << 1) != 0) {
-              var m = 0
-              while (m < o.length && o(m) < k) m += 1
-              val both = Live | Live << 1
-              val live = if (m < o.length && o(m) == k) both else b & both
-              bits |= live | (live & Live << 1) << 1 // the step leads to a label
-            }
-          }
-          j += 1
-        }
-        cells(i * s + q) = bits.toByte
-        q += 1
-      }
-      i -= 1
+    requireCells(t.length, fst.numStates)
+    val lane = lanes(t.map(fst.steps(_, dict)), fst, Array(k), 0, 1)
+    val cells = new Array[Byte](lane.end.length)
+    var c = 0
+    while (c < cells.length) {
+      val bits = lane.toK(c) | lane.live(c) << 1 | lane.toLabel(c) << 2
+      cells(c) = (bits.toInt | (if (lane.end(c)) End else 0)).toByte
+      c += 1
     }
     cells
   }

@@ -8,7 +8,7 @@ import org.scalacheck.rng.Seed
 import repro.{SparkSpec, TestGen}
 import repro.baselines.LashLite
 import repro.Ex._
-import repro.fst.{BlowUpException, FstCompiler}
+import repro.fst.{BlowUpException, FstCompiler, FstSimulator}
 import repro.patex.PatExPrinter
 import repro.util.Metrics
 
@@ -79,6 +79,28 @@ class DriversSpec extends SparkSpec {
     val base = dSeq(dbr, d, patex, 2)
     assert(dSeq(dbr, d, patex, 2, rewrite = false) == base)
     assert(dSeq(dbr, d, patex, 2, earlyStop = false) == base)
+  }
+
+  test("an empty sequence: one run iff the initial state is final, no pivots, no change to any miner") {
+    val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(65, nSeqs = 12), TestGen.toyParents)
+    val empty = Array.empty[Int]
+    val sigma = 2L
+    val maxFid = d.maxFrequentFid(sigma)
+    var finalInitial = 0
+    for ((name, patex) <- TestGen.patterns ++ Seq("star" -> "(.)*", "optional" -> "[(.^)(.)]?")) withClue(name) {
+      val fst = FstCompiler.compile(patex, d)
+      var runs = 0
+      FstSimulator.foreachAcceptingRun(empty, fst, d) { r => assert(r.isEmpty); runs += 1 }
+      assert(runs == (if (fst.isFinal(fst.initial)) 1 else 0))
+      if (fst.isFinal(fst.initial)) finalInitial += 1
+      assert(PivotSearch.pivots(empty, fst, d, maxFid).isEmpty)
+      val want = DesqDfs.mine(dbr.map((_, 1L)), fst, d, sigma, maxFid)
+      val withEmpty = dbr.patch(dbr.length / 2, Seq(empty), 0)
+      assert(DesqDfs.mine(withEmpty.map((_, 1L)), fst, d, sigma, maxFid) == want)
+      assert(dSeq(withEmpty, d, patex, sigma) == want)
+      assert(dCand(withEmpty, d, patex, sigma) == want)
+    }
+    assert(finalInitial >= 2, "too few FSTs that accept the empty sequence to be a test")
   }
 
   test("D-CAND options (no aggregation, no minimization) do not change results") {
