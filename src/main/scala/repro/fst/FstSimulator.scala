@@ -148,7 +148,9 @@ object FstSimulator {
     */
   def pivotCells(t: Array[Int], fst: Fst, dict: Dictionary, k: Int): Array[Byte] = {
     requireCells(t.length, fst.numStates)
-    val lane = lanes(t.map(fst.steps(_, dict)), fst, Array(k), 0, 1)
+    val rows = new Array[StepRow](t.length)
+    for (i <- t.indices) rows(i) = fst.steps(t(i), dict) // a plain loop: `t.map` boxes every fid
+    val lane = lanes(rows, fst, Array(k), 0, 1)
     val cells = new Array[Byte](lane.end.length)
     var c = 0
     while (c < cells.length) {
