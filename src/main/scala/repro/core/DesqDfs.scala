@@ -25,10 +25,10 @@ import scala.collection.mutable
   *
   * With `pivot = Some(k)` the miner runs D-SEQ's restricted local mining:
   * prefixes use only items `<= k` and only sequences containing `k` are
-  * emitted. Pivot pruning keeps, while the prefix lacks `k`, only snapshots
-  * from which some accepting run can still output `k` (the live unseen
-  * ones); such a run is the only way a snapshot can add to a pivot-`k`
-  * pattern, so the pruning is exact.
+  * emitted. It always prunes by pivot (Sec. V-C's early stopping): while
+  * the prefix lacks `k`, it keeps only snapshots from which some accepting
+  * run can still output `k` (the live unseen ones); such a run is the only
+  * way a snapshot can add to a pivot-`k` pattern, so the pruning is exact.
   *
   * The unrestricted variant (`pivot = None`) is the sequential DESQ-DFS
   * baseline of Tab. V.
@@ -44,9 +44,8 @@ object DesqDfs {
 
   /** Mine `db` (sequences with multiplicities) for frequent subsequences.
     *
-    * @param maxFid    largest frequent fid (σ boundary on items)
-    * @param pivot     if set, mine only pivot sequences for this item
-    * @param earlyStop enable pivot pruning (pivot mode only)
+    * @param maxFid largest frequent fid (σ boundary on items)
+    * @param pivot  if set, mine only pivot sequences for this item, with pivot pruning
     */
   def mine(
       db: IndexedSeq[(Array[Int], Long)],
@@ -54,8 +53,7 @@ object DesqDfs {
       dict: Dictionary,
       sigma: Long,
       maxFid: Int,
-      pivot: Option[Int] = None,
-      earlyStop: Boolean = true
+      pivot: Option[Int] = None
   ): Map[Pattern, Long] = {
     if (db.isEmpty) return Map.empty
     require(fst.numStates <= MaxFstStates,
@@ -67,18 +65,18 @@ object DesqDfs {
     val itemCap = pivot.fold(maxFid)(math.min(_, maxFid))
     if (pivot.exists(_ > itemCap)) return Map.empty // an infrequent pivot is in no frequent pattern
     new Search(db.map(_._1).toArray, db.map(_._2).toArray, fst, dict, sigma, itemCap,
-      pivot.getOrElse(0), pivot.isDefined && earlyStop, maxLen).run()
+      pivot.getOrElse(0), maxLen).run()
   }
 
   /** One mining run: the per-sequence [[FstSimulator.pivotCells]] tables and
     * the scratch state of the ε-DFS. An entry's `local` is `pos << 10 | state`.
     *
-    * @param k     the pivot, or 0 (ε, never an output item) when unrestricted
-    * @param prune pivot pruning on
+    * @param k the pivot, or 0 (ε, never an output item) when unrestricted; pivot pruning is on
+    *          iff `k != 0`
     */
   private final class Search(
       seqs: Array[Array[Int]], weights: Array[Long], fst: Fst, dict: Dictionary,
-      sigma: Long, itemCap: Int, k: Int, prune: Boolean, maxLen: Int
+      sigma: Long, itemCap: Int, k: Int, maxLen: Int
   ) extends PatternGrowth(weights, sigma, k) {
     private val s = fst.numStates
     private val seqCells = seqs.map(FstSimulator.pivotCells(_, fst, dict, itemCap))
@@ -97,14 +95,14 @@ object DesqDfs {
 
     def run(): Map[Pattern, Long] = {
       val root = new mutable.ArrayBuilder.ofLong
-      val rootLive = Live << (if (prune) 0 else 1)
+      val rootLive = Live << (if (k != 0) 0 else 1)
       for (t <- seqs.indices if (seqCells(t)(fst.initial) & rootLive) != 0)
         root += (t.toLong << 32 | fst.initial)
       run(root.result())
     }
 
     protected def extend(db: Array[Long], hasPivot: Boolean): Unit = {
-      seen = if (prune && !hasPivot) 0 else 1
+      seen = if (k != 0 && !hasPivot) 0 else 1
       toLabel = if (seen == 0) Live else LeadsToLabel // unseen, the two bits are equal
       var ei = 0
       while (ei < db.length) {

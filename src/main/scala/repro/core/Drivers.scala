@@ -23,16 +23,14 @@ object Drivers {
     * The map phase finds the pivot items `K(T)` of every input sequence with
     * the position–state grid and ships the leading/trailing-trimmed rewrite
     * `ρk(T)` to each pivot partition as varint bytes; the reduce phase runs
-    * pivot-restricted DESQ-DFS with pivot pruning.
+    * pivot-restricted DESQ-DFS, which prunes by pivot (Sec. V-C).
     */
   def dSeq(
       sc: SparkContext,
       sequences: RDD[Array[Int]],
       dict: Dictionary,
       patex: String,
-      sigma: Long,
-      rewrite: Boolean = true,
-      earlyStop: Boolean = true
+      sigma: Long
   ): RDD[(Pattern, Long)] = {
     val fst = FstCompiler.compile(patex, dict)
     require(fst.numStates <= DesqDfs.MaxFstStates,
@@ -42,18 +40,17 @@ object Drivers {
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
     // 99–100% of the `(k, ρk(T))` records are distinct; a weight would only grow them.
-    minePivots(sequences)(_.flatMap(dSeqRecords(_, bcFst.value, bcDict.value, maxFid, rewrite)))(
-      dSeqMine(_, _, bcFst.value, bcDict.value, sigma, maxFid, earlyStop))
+    minePivots(sequences)(_.flatMap(dSeqRecords(_, bcFst.value, bcDict.value, maxFid)))(
+      dSeqMine(_, _, bcFst.value, bcDict.value, sigma, maxFid))
   }
 
-  /** D-SEQ's map side: `(k, ρk(t))`, or `(k, t)` without `rewrite`, per pivot `k` of `t`, with
-    * the fids written as [[Varint]]s. The f-list gives frequent items the smallest fids, so most
-    * items take one or two bytes. Pivots whose rewrite is `t` itself share one encoding of `t`.
+  /** D-SEQ's map side: `(k, ρk(t))` per pivot `k` of `t`, in pivot order, with the fids written
+    * as [[Varint]]s. The f-list gives frequent items the smallest fids, so most items take one
+    * or two bytes. Pivots whose rewrite is `t` itself share one encoding of `t`.
     */
-  private[repro] def dSeqRecords(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int,
-                                 rewrite: Boolean): Iterator[(Int, Array[Byte])] = {
+  private[repro] def dSeqRecords(t: Array[Int], fst: Fst, dict: Dictionary,
+                                 maxFid: Int): Iterator[(Int, Array[Byte])] = {
     lazy val whole = Varint.encode(t)
-    if (!rewrite) return PivotSearch.pivots(t, fst, dict, maxFid).iterator.map((_, whole))
     val g = PivotSearch.grid(t, fst, dict, maxFid)
     g.pivots.iterator.map { k =>
       val r = PivotSearch.rewrite(t, g, k)
@@ -63,15 +60,14 @@ object Drivers {
 
   /** D-SEQ's reduce side: pivot-restricted DESQ-DFS over pivot `k`'s records, each decoded once. */
   private[repro] def dSeqMine(k: Int, records: IndexedSeq[Array[Byte]], fst: Fst, dict: Dictionary,
-                              sigma: Long, maxFid: Int, earlyStop: Boolean): Iterator[(Pattern, Long)] =
-    DesqDfs.mine(records.map(b => (Varint.decode(b), 1L)), fst, dict, sigma, maxFid, Some(k), earlyStop)
-      .iterator
+                              sigma: Long, maxFid: Int): Iterator[(Pattern, Long)] =
+    DesqDfs.mine(records.map(b => (Varint.decode(b), 1L)), fst, dict, sigma, maxFid, Some(k)).iterator
 
   /** D-CAND (Sec. VI): item-based partitioning with candidate representation.
     * The map phase encodes each sequence's pivot-k candidates as a minimized
-    * NFA and serializes it; with `aggregate`, each map task merges identical
-    * `(k, nfa)` records into weighted ones. The reduce phase counts candidates
-    * directly on the compressed NFAs, one pivot at a time.
+    * NFA and serializes it, and each map task merges identical `(k, nfa)`
+    * records into weighted ones. The reduce phase counts candidates directly
+    * on the compressed NFAs, one pivot at a time.
     */
   def dCand(
       sc: SparkContext,
@@ -79,40 +75,35 @@ object Drivers {
       dict: Dictionary,
       patex: String,
       sigma: Long,
-      aggregate: Boolean = true,
-      minimizeNfas: Boolean = true,
       maxNodes: Int = 1 << 20
   ): RDD[(Pattern, Long)] = {
     val fst = FstCompiler.compile(patex, dict)
     val maxFid = dict.maxFrequentFid(sigma)
     val bcDict = sc.broadcast(dict)
     val bcFst = sc.broadcast(fst)
-    minePivots(sequences)(
-      dCandTask(_, bcFst.value, bcDict.value, maxFid, maxNodes, minimizeNfas, aggregate))(dCandMine(_, _, sigma))
+    minePivots(sequences)(dCandTask(_, bcFst.value, bcDict.value, maxFid, maxNodes))(dCandMine(_, _, sigma))
   }
 
-  /** D-CAND's map side: `(k, serialized NFA of t's pivot-k candidates)` per pivot `k` of `t`. */
-  private[repro] def dCandRecords(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int, maxNodes: Int,
-                                  minimize: Boolean): Iterator[(Int, NfaSerializer.Bytes)] =
-    Nfa.buildForSequence(t, fst, dict, maxFid, maxNodes, minimize)
+  /** D-CAND's map side: `(k, serialized minimized NFA of t's pivot-k candidates)` per pivot `k`
+    * of `t`.
+    */
+  private[repro] def dCandRecords(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int,
+                                  maxNodes: Int): Iterator[(Int, NfaSerializer.Bytes)] =
+    Nfa.buildForSequence(t, fst, dict, maxFid, maxNodes)
       .iterator.map { case (k, nfa) => (k, NfaSerializer.serialize(nfa)) }
 
-  /** D-CAND's map task: the [[dCandRecords]] of its sequences as `(k, (nfa, weight))`. With
-    * `aggregate`, identical `(k, nfa)` records are summed in one hash table per pivot, keyed by
-    * the NFA alone (a [[NfaSerializer.Bytes]] caches its hash), so the task ships one record
-    * per distinct pair and no record is hashed as a tuple; the table cannot spill, as it holds
-    * only the task's own distinct records. Without `aggregate`, every record has weight 1.
+  /** D-CAND's map task: the [[dCandRecords]] of its sequences as `(k, (nfa, weight))`. Identical
+    * `(k, nfa)` records are summed in one hash table per pivot, keyed by the NFA alone (a
+    * [[NfaSerializer.Bytes]] caches its hash), so the task ships one record per distinct pair
+    * and no record is hashed as a tuple; the table cannot spill, as it holds only the task's
+    * own distinct records.
     */
   private[repro] def dCandTask(seqs: Iterator[Array[Int]], fst: Fst, dict: Dictionary, maxFid: Int,
-                               maxNodes: Int, minimize: Boolean,
-                               aggregate: Boolean): Iterator[(Int, (NfaSerializer.Bytes, Long))] = {
-    val records = seqs.flatMap(dCandRecords(_, fst, dict, maxFid, maxNodes, minimize))
-    if (!aggregate) records.map { case (k, b) => (k, (b, 1L)) }
-    else {
-      val byK = mutable.HashMap.empty[Int, mutable.HashMap[NfaSerializer.Bytes, Long]]
-      for ((k, b) <- records) addWeight(byK.getOrElseUpdate(k, mutable.HashMap.empty), b, 1L)
-      byK.iterator.flatMap { case (k, ws) => ws.iterator.map((k, _)) }
-    }
+                               maxNodes: Int): Iterator[(Int, (NfaSerializer.Bytes, Long))] = {
+    val byK = mutable.HashMap.empty[Int, mutable.HashMap[NfaSerializer.Bytes, Long]]
+    for ((k, b) <- seqs.flatMap(dCandRecords(_, fst, dict, maxFid, maxNodes)))
+      addWeight(byK.getOrElseUpdate(k, mutable.HashMap.empty), b, 1L)
+    byK.iterator.flatMap { case (k, ws) => ws.iterator.map((k, _)) }
   }
 
   /** D-CAND's reduce side: pivot `k`'s weighted NFAs, which stay serialized until `k` is mined.

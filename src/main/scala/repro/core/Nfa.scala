@@ -22,7 +22,6 @@ final class Nfa(
     val labels: Array[Array[Int]]
 ) extends Serializable {
   def numStates: Int = isFinal.length
-  def numEdges: Int = edges.iterator.map(_.length).sum / 2
 }
 
 object Nfa {

@@ -13,8 +13,8 @@ import scala.collection.mutable
   * items, and then each pivot's window `ρk(T)`. Both rest on one counting rule (see
   * [[GridResult]]), the closed form of Th. 1's `⊕` that the tests' `PivotFold` checks against
   * the fold, applied by lane-parallel passes that give each candidate item one lane of 64-bit
-  * masks: the backward pass ([[FstSimulator.lanes]]) yields `K(T)` ([[pivots]]) and the lanes
-  * D-CAND's pivot tries read ([[search]]), and a forward pass the windows ([[grid]]).
+  * masks: the backward pass ([[FstSimulator.lanes]]) yields `K(T)` and the lanes D-CAND's
+  * pivot tries read ([[search]]), and a forward pass the windows ([[grid]]).
   *
   * Items are fids; fid 0 is ε and is strictly smaller than every item, so an
   * ε-only output set needs no special casing: its floor is 0.
@@ -35,18 +35,10 @@ object PivotSearch {
     */
   final case class GridResult(pivots: Array[Int], first: Array[Int], last: Array[Int])
 
-  /** `K(T)` for sequence `t`: the items `k` with a run that counts for `k` (see [[GridResult]]),
-    * Th. 1's pivots. `maxFid` is the largest frequent fid (σ boundary): only frequent items are
-    * candidates, and a run through a set whose floor is infrequent counts for none of them, as
-    * it generates no candidate in `Gσπ(T)`. Sorted, without duplicates.
-    */
-  def pivots(t: Array[Int], fst: Fst, dict: Dictionary, maxFid: Int): Array[Int] = {
-    val ps = new mutable.ArrayBuilder.ofInt
-    search(t, fst, dict, maxFid)((_, _, _, k) => ps += k)
-    ps.result()
-  }
-
-  /** [[pivots]] and every pivot's window (Sec. V-B).
+  /** `K(T)` for sequence `t` and every pivot's window (Sec. V-B). A pivot is an item `k` with a
+    * run that counts for `k` (see [[GridResult]]), as in Th. 1. `maxFid` is the largest frequent
+    * fid (σ boundary): only frequent items are candidates, and a run through a set whose floor is
+    * infrequent counts for none of them, as it generates no candidate in `Gσπ(T)`.
     *
     * Trimming the head is exact: each counted run idles in the initial state up to `first`,
     * so the trimmed sequence's counted runs are the original's. Trimming the tail is exact

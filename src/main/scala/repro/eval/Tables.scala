@@ -13,6 +13,19 @@ import repro.util.Metrics
   */
 object Tables {
 
+  // Scale factors of the bench-scale datasets.
+  private val NytSf = 0.5
+  private val AmznSf = 0.5
+  private val CwSf = 0.25
+  /** Example sequences per row of Tab. III. */
+  private val TopK = 3
+  /** Cap on the candidates enumerated per sequence by Tab. IV and by NAIVE / SEMI-NAIVE. */
+  private val CandidateCap = 200000
+  // The scalability table's constraint T3(σ, γ, λ) and its σ on all of AMZN-F.
+  private val ScalabilityGamma = 1
+  private val ScalabilityLambda = 5
+  private val ScalabilityBaseSigma = 24L
+
   /** Bench-scale datasets (SF chosen so the full bench stays in minutes). */
   final case class Datasets(nyt: SeqDB, amzn: SeqDB, amznF: SeqDB, cw: SeqDB) {
     def apply(name: String): SeqDB = name match {
@@ -20,13 +33,12 @@ object Tables {
     }
   }
 
-  def loadDatasets(spark: SparkSession,
-                   nytSf: Double = 0.5, amznSf: Double = 0.5, cwSf: Double = 0.25): Datasets = {
+  def loadDatasets(spark: SparkSession): Datasets = {
     val ds = Datasets(
-      nyt = SeqData.encode(SeqData.nytLite(spark, nytSf)),
-      amzn = SeqData.encode(SeqData.amznLite(spark, amznSf)),
-      amznF = SeqData.encode(SeqData.amznLiteF(spark, amznSf)),
-      cw = SeqData.encode(SeqData.cwLite(spark, cwSf)))
+      nyt = SeqData.encode(SeqData.nytLite(spark, NytSf)),
+      amzn = SeqData.encode(SeqData.amznLite(spark, AmznSf)),
+      amznF = SeqData.encode(SeqData.amznLiteF(spark, AmznSf)),
+      cw = SeqData.encode(SeqData.cwLite(spark, CwSf)))
     // materialize the caches so later timing runs exclude generation
     ds.nyt.sequences.count(); ds.amzn.sequences.count()
     ds.amznF.sequences.count(); ds.cw.sequences.count()
@@ -63,13 +75,13 @@ object Tables {
   // ----------------------------------------------------------------- Tab III
 
   /** Tab. III: example frequent sequences found per constraint (via D-SEQ). */
-  def tableIII(spark: SparkSession, ds: Datasets, topK: Int = 3): String = {
+  def tableIII(spark: SparkSession, ds: Datasets): String = {
     val rows = Constraints.tableIVBattery.map { c =>
       val db = ds(c.dataset)
       val res = Drivers.dSeq(spark.sparkContext, db.sequences, db.dict, c.patex, c.sigma)
         .collect()
       val total = res.length
-      val examples = res.sortBy(-_._2).take(topK)
+      val examples = res.sortBy(-_._2).take(TopK)
         .map { case (p, f) => s"'${p.items.map(db.dict.name).mkString(" ")}' ($f)" }
         .mkString(", ")
       f"${c.name}%-14s ${c.dataset}%-6s ${total}%8d  $examples"
@@ -82,7 +94,7 @@ object Tables {
   /** Tab. IV: statistics on candidate subsequences. Per-sequence candidate
     * sets are enumerated with a cap (the paper itself sampled for T1(400,5)).
     */
-  def tableIV(spark: SparkSession, ds: Datasets, cap: Int = 200000): String = {
+  def tableIV(spark: SparkSession, ds: Datasets): String = {
     val rows = Constraints.tableIVBattery.map { c =>
       val db = ds(c.dataset)
       val fst = FstCompiler.compile(c.patex, db.dict)
@@ -90,17 +102,17 @@ object Tables {
       val bcDict = spark.sparkContext.broadcast(db.dict)
       val bcFst = spark.sparkContext.broadcast(fst)
       val counts = db.sequences
-        .map(BruteForce.candidateCount(_, bcFst.value, bcDict.value, maxFid, cap))
+        .map(BruteForce.candidateCount(_, bcFst.value, bcDict.value, maxFid, CandidateCap))
         .collect()
       val nSeq = counts.length
       val matched = counts.count(_ > 0)
       val total = counts.sum
-      val capped = counts.count(_ >= cap)
+      val capped = counts.count(_ >= CandidateCap)
       val cspis = counts.filter(_ > 0).sorted
       val mean = if (matched == 0) 0.0 else total.toDouble / matched
       val median = if (matched == 0) 0L else cspis(cspis.length / 2)
       f"${c.name}%-14s ${c.dataset}%-6s ${100.0 * matched / nSeq}%7.1f ${total}%12d " +
-        f"${mean}%10.1f ${median}%8d" + (if (capped > 0) s"  [$capped seqs capped at $cap]" else "")
+        f"${mean}%10.1f ${median}%8d" + (if (capped > 0) s"  [$capped seqs capped at $CandidateCap]" else "")
     }
     ("Constraint     data   matched%   #cand.seqs  CSPI-mean  CSPI-med\n" + rows.mkString("\n"))
   }
@@ -145,15 +157,14 @@ object Tables {
     * samples of AMZN-F with σ scaled like the paper (25/50/75/100 → here
     * proportional), expecting near-linear growth of run time.
     */
-  def scalabilityTable(spark: SparkSession, ds: Datasets, gamma: Int = 1, lambda: Int = 5,
-                       baseSigma: Long = 24): String = {
+  def scalabilityTable(spark: SparkSession, ds: Datasets): String = {
     val rows = Seq(0.25, 0.5, 0.75, 1.0).map { frac =>
       val sample =
         if (frac >= 1.0) ds.amznF.sequences
         else ds.amznF.sequences.sample(withReplacement = false, frac, seed = 1).cache()
       val n = sample.count()
-      val sigma = math.max(2L, (baseSigma * frac).toLong)
-      val patex = s"(.^)[.{0,$gamma}(.^)]{1,${lambda - 1}}"
+      val sigma = math.max(2L, (ScalabilityBaseSigma * frac).toLong)
+      val patex = s"(.^)[.{0,$ScalabilityGamma}(.^)]{1,${ScalabilityLambda - 1}}"
       val mSeq = Metrics.measure(spark) {
         Drivers.dSeq(spark.sparkContext, sample, ds.amznF.dict, patex, sigma).count()
       }
@@ -173,7 +184,7 @@ object Tables {
     * paper's Fig. 9, recorded as a table).
     */
   def baselinesTable(spark: SparkSession, ds: Datasets,
-                     battery: Seq[Constraints.Constraint], naiveCap: Int = 200000): String = {
+                     battery: Seq[Constraints.Constraint]): String = {
     val algos = Seq("NAIVE", "SEMI-NAIVE", "D-SEQ", "D-CAND")
     val rows = battery.flatMap { c =>
       val db = ds(c.dataset)
@@ -182,8 +193,8 @@ object Tables {
           try {
             val m = Metrics.measure(spark) {
               (algo match {
-                case "NAIVE"      => Drivers.naive(spark.sparkContext, db.sequences, db.dict, c.patex, c.sigma, naiveCap)
-                case "SEMI-NAIVE" => Drivers.semiNaive(spark.sparkContext, db.sequences, db.dict, c.patex, c.sigma, naiveCap)
+                case "NAIVE"      => Drivers.naive(spark.sparkContext, db.sequences, db.dict, c.patex, c.sigma, CandidateCap)
+                case "SEMI-NAIVE" => Drivers.semiNaive(spark.sparkContext, db.sequences, db.dict, c.patex, c.sigma, CandidateCap)
                 case "D-SEQ"      => Drivers.dSeq(spark.sparkContext, db.sequences, db.dict, c.patex, c.sigma)
                 case "D-CAND"     => Drivers.dCand(spark.sparkContext, db.sequences, db.dict, c.patex, c.sigma)
               }).count()

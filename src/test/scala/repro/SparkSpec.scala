@@ -17,14 +17,12 @@ trait SparkSpec extends AnyFunSuite {
   def sc: SparkContext = spark.sparkContext
 
   /** `Drivers.dSeq` over `db` in 4 partitions, collected. */
-  def dSeq(db: Seq[Array[Int]], dict: Dictionary, patex: String, sigma: Long,
-           rewrite: Boolean = true, earlyStop: Boolean = true): Map[Pattern, Long] =
-    Drivers.dSeq(sc, sc.parallelize(db, 4), dict, patex, sigma, rewrite, earlyStop).collect().toMap
+  def dSeq(db: Seq[Array[Int]], dict: Dictionary, patex: String, sigma: Long): Map[Pattern, Long] =
+    Drivers.dSeq(sc, sc.parallelize(db, 4), dict, patex, sigma).collect().toMap
 
   /** `Drivers.dCand` over `db` in 4 partitions, collected. */
-  def dCand(db: Seq[Array[Int]], dict: Dictionary, patex: String, sigma: Long,
-            aggregate: Boolean = true, minimizeNfas: Boolean = true): Map[Pattern, Long] =
-    Drivers.dCand(sc, sc.parallelize(db, 4), dict, patex, sigma, aggregate, minimizeNfas).collect().toMap
+  def dCand(db: Seq[Array[Int]], dict: Dictionary, patex: String, sigma: Long): Map[Pattern, Long] =
+    Drivers.dCand(sc, sc.parallelize(db, 4), dict, patex, sigma).collect().toMap
 }
 
 object SparkSpec {

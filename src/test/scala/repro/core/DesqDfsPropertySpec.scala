@@ -26,7 +26,7 @@ class DesqDfsPropertySpec extends AnyFunSuite {
       Gen.choose(1, 7).flatMap(len => Gen.listOfN(len, Gen.oneOf(TestGen.leaves)).map(_.toArray)),
       Gen.choose(1L, 3L))))
 
-  test("pivot-k mining with and without pruning == brute force restricted to pivot k") {
+  test("pivot-k mining == brute force restricted to pivot k") {
     var nonEmptyPartitions = 0
     val input = Gen.zip(Gen.oneOf(TestGen.patterns.map(_._2)), TestGen.hierarchy, weightedDb, Gen.oneOf(1L, 2L, 4L))
     check(Prop.forAllNoShrink(input) { case (patex, parents, wdb, sigma) =>
@@ -38,10 +38,9 @@ class DesqDfsPropertySpec extends AnyFunSuite {
       val brute = BruteForce.mine(expanded, fst, sigma, dict)
       (1 to dict.size).forall { k =>
         val want = brute.filter(_._1.pivot == k)
-        val on = DesqDfs.mine(db, fst, dict, sigma, maxFid, Some(k), earlyStop = true)
-        val off = DesqDfs.mine(db, fst, dict, sigma, maxFid, Some(k), earlyStop = false)
+        val got = DesqDfs.mine(db, fst, dict, sigma, maxFid, Some(k))
         if (want.nonEmpty) nonEmptyPartitions += 1
-        on == want && off == want
+        got == want
       }
     }, tests = 150)
     assert(nonEmptyPartitions > 150, "too few pivot partitions with patterns to be a test")

@@ -54,15 +54,6 @@ class DesqDfsSpec extends AnyFunSuite {
     assert(got(Pattern(a1, a1, b)) == 3L)
   }
 
-  test("early stopping on/off produce identical results (running example)") {
-    val maxFid = dict.maxFrequentFid(2)
-    for (k <- Seq(a1, c)) {
-      val on = DesqDfs.mine(asDb(db), fst, dict, 1, maxFid, Some(k), earlyStop = true)
-      val off = DesqDfs.mine(asDb(db), fst, dict, 1, maxFid, Some(k), earlyStop = false)
-      assert(on == off, s"pivot ${dict.name(k)}")
-    }
-  }
-
   test("union over pivot partitions equals unrestricted mining") {
     val maxFid = dict.maxFrequentFid(2)
     val full = DesqDfs.mine(asDb(db), fst, dict, 2, maxFid)
@@ -81,12 +72,10 @@ class DesqDfsSpec extends AnyFunSuite {
     val f = FstCompiler.compile("l0(.)l1", d)
     val k = d.fid("l7")
     val maxFid = d.maxFrequentFid(2)
-    for (earlyStop <- Seq(true, false)) {
-      def mine(ts: Seq[Array[Int]]) = DesqDfs.mine(asDb(ts), f, d, 2, maxFid, Some(k), earlyStop)
-      assert(mine(enc.take(2)) == Map(Pattern(k) -> 2L), s"earlyStop=$earlyStop")
-      assert(mine(enc) == mine(enc.take(2)), s"earlyStop=$earlyStop")
-      assert(mine(enc.drop(2)).isEmpty, s"earlyStop=$earlyStop")
-    }
+    def mine(ts: Seq[Array[Int]]) = DesqDfs.mine(asDb(ts), f, d, 2, maxFid, Some(k))
+    assert(mine(enc.take(2)) == Map(Pattern(k) -> 2L))
+    assert(mine(enc) == mine(enc.take(2)))
+    assert(mine(enc.drop(2)).isEmpty)
   }
 
   test("entry encoding limits are checked before any per-sequence work") {

@@ -73,14 +73,6 @@ class DriversSpec extends SparkSpec {
     assert(lash == BruteForce.mine(dbr, "(.^)[.{0,1}(.^)]{1,2}", 0, d).filter(_._1.length >= 2), "lash-lite")
   }
 
-  test("D-SEQ options (no rewrite, no early stop) do not change results") {
-    val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(63), TestGen.toyParents)
-    val patex = ".*(m1)[(.^).*]*(m2).*"
-    val base = dSeq(dbr, d, patex, 2)
-    assert(dSeq(dbr, d, patex, 2, rewrite = false) == base)
-    assert(dSeq(dbr, d, patex, 2, earlyStop = false) == base)
-  }
-
   test("an empty sequence: one run iff the initial state is final, no pivots, no change to any miner") {
     val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(65, nSeqs = 12), TestGen.toyParents)
     val empty = Array.empty[Int]
@@ -93,7 +85,7 @@ class DriversSpec extends SparkSpec {
       FstSimulator.foreachAcceptingRun(empty, fst, d) { r => assert(r.isEmpty); runs += 1 }
       assert(runs == (if (fst.isFinal(fst.initial)) 1 else 0))
       if (fst.isFinal(fst.initial)) finalInitial += 1
-      assert(PivotSearch.pivots(empty, fst, d, maxFid).isEmpty)
+      assert(PivotSearch.grid(empty, fst, d, maxFid).pivots.isEmpty)
       val want = DesqDfs.mine(dbr.map((_, 1L)), fst, d, sigma, maxFid)
       val withEmpty = dbr.patch(dbr.length / 2, Seq(empty), 0)
       assert(DesqDfs.mine(withEmpty.map((_, 1L)), fst, d, sigma, maxFid) == want)
@@ -103,23 +95,17 @@ class DriversSpec extends SparkSpec {
     assert(finalInitial >= 2, "too few FSTs that accept the empty sequence to be a test")
   }
 
-  test("D-CAND options (no aggregation, no minimization) do not change results") {
-    val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(64), TestGen.toyParents)
-    val patex = "(.)[.{0,1}(.)]{1,2}"
-    val base = dCand(dbr, d, patex, 2)
-    assert(dCand(dbr, d, patex, 2, aggregate = false) == base)
-    assert(dCand(dbr, d, patex, 2, minimizeNfas = false) == base)
-
+  test("D-CAND == brute force when identical NFAs meet within and across map tasks") {
     // Twelve copies of eight sequences, three in each of the 4 input
     // partitions: identical NFAs meet inside one input partition (map-side
     // combine) and across partitions (reduce side).
-    val (d2, copies) = TestGen.encodeLocal(
+    val patex = "(.)[.{0,1}(.)]{1,2}"
+    val (d, copies) = TestGen.encodeLocal(
       Seq.fill(12)(TestGen.randomDb(66, nSeqs = 8)).flatten, TestGen.toyParents)
     val sigma = 24L
-    val want = BruteForce.mine(copies, patex, sigma, d2)
+    val want = BruteForce.mine(copies, patex, sigma, d)
     assert(want.keySet.map(_.pivot).size >= 2)
-    assert(dCand(copies, d2, patex, sigma) == want)
-    assert(dCand(copies, d2, patex, sigma, aggregate = false) == want)
+    assert(dCand(copies, d, patex, sigma) == want)
   }
 
   private def shuffleDeps(rdd: RDD[_]): Seq[ShuffleDependency[_, _, _]] = rdd.dependencies.flatMap {
@@ -132,7 +118,6 @@ class DriversSpec extends SparkSpec {
     val drivers = Seq(
       "dseq" -> Drivers.dSeq(sc, in, dict, piEx, 2),
       "dcand" -> Drivers.dCand(sc, in, dict, piEx, 2),
-      "dcand without aggregation" -> Drivers.dCand(sc, in, dict, piEx, 2, aggregate = false),
       "lash-lite" -> LashLite.mine(sc, in, dict, 2, gamma = 1, lambda = 3),
       "naive" -> Drivers.naive(sc, in, dict, piEx, 2),
       "seminaive" -> Drivers.semiNaive(sc, in, dict, piEx, 2))
@@ -166,6 +151,26 @@ class DriversSpec extends SparkSpec {
     }
     val decoded = shipped.map { case (k, v) => s"$k: ${Varint.decode(v.asInstanceOf[Array[Byte]]).mkString(" ")}" }
     assert(decoded.sorted.toSeq == rewrites.sorted)
+  }
+
+  test("dSeqRecords: ρk(T) per grid pivot, in order; whole-sequence windows share one encoding") {
+    var shared = 0
+    for ((name, patex) <- TestGen.patterns; seed <- Seq(67, 68)) withClue(s"$name, seed=$seed: ") {
+      val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(seed), TestGen.toyParents)
+      val fst = FstCompiler.compile(patex, d)
+      for (t <- dbr; sigma <- Seq(1L, 3L)) {
+        val maxFid = d.maxFrequentFid(sigma)
+        val g = PivotSearch.grid(t, fst, d, maxFid)
+        val records = Drivers.dSeqRecords(t, fst, d, maxFid).toIndexedSeq
+        assert(records.map(_._1) == g.pivots.toSeq, s"sigma=$sigma")
+        for ((k, bytes) <- records)
+          assert(bytes.sameElements(Varint.encode(PivotSearch.rewrite(t, g, k))), s"sigma=$sigma k=$k")
+        val whole = records.indices.filter(p => g.first(p) == 0 && g.last(p) == t.length - 1).map(records(_)._2)
+        assert(whole.forall(_ eq whole.head), s"sigma=$sigma")
+        if (whole.size >= 2) shared += 1
+      }
+    }
+    assert(shared > 0, "no sequence has two whole-sequence windows")
   }
 
   test("D-CAND shuffles its aggregated NFA records with Kryo") {
@@ -216,7 +221,7 @@ class DriversSpec extends SparkSpec {
     val (d, copies) = TestGen.encodeLocal(Seq.fill(5)(Array("l0", "l4", "l1", "l8")), TestGen.toyParents)
     val sigma = 5L
     val records = Drivers.dCandRecords(copies.head, FstCompiler.compile(patex, d), d, d.maxFrequentFid(sigma),
-                                       maxNodes = 1 << 20, minimize = true).toSeq
+                                       maxNodes = 1 << 20).toSeq
     val got = records.flatMap { case (k, b) => Drivers.dCandMine(k, IndexedSeq((b, 2L), (b, 3L)), sigma) }
     val want = BruteForce.mine(copies, patex, sigma, d)
     assert(records.size >= 2 && want.nonEmpty)
@@ -224,7 +229,7 @@ class DriversSpec extends SparkSpec {
   }
 
   test("D-CAND ships one record per distinct (pivot, NFA) pair of each map task") {
-    // The database of the options test: identical NFAs meet within an input partition and across.
+    // The database of the merge test above: identical NFAs meet within an input partition and across.
     val patex = "(.)[.{0,1}(.)]{1,2}"
     val (d, copies) = TestGen.encodeLocal(
       Seq.fill(12)(TestGen.randomDb(66, nSeqs = 8)).flatten, TestGen.toyParents)
@@ -233,7 +238,7 @@ class DriversSpec extends SparkSpec {
     val fst = FstCompiler.compile(patex, d)
     val maxFid = d.maxFrequentFid(sigma)
     val perPartition = in.glom().collect().toSeq.map(_.toSeq.flatMap(
-      Drivers.dCandRecords(_, fst, d, maxFid, maxNodes = 1 << 20, minimize = true)))
+      Drivers.dCandRecords(_, fst, d, maxFid, maxNodes = 1 << 20)))
     val distinctPerTask = perPartition.map(_.distinct.size).sum
     // Map-side merging writes fewer records than merging on the reduce side only would.
     assert(distinctPerTask < perPartition.map(_.size).sum)

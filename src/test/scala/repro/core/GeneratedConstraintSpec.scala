@@ -32,10 +32,10 @@ class GeneratedConstraintSpec extends AnyFunSuite {
       Prop(want.isDefined) ==> {
         val dfs = DesqDfs.mine(db.map((_, 1L)), fst, dict, sigma, maxFid)
         val dSeq = TestGen.minePivotsLocally(db)(
-          _.flatMap(Drivers.dSeqRecords(_, fst, dict, maxFid, rewrite = true)))(
-          Drivers.dSeqMine(_, _, fst, dict, sigma, maxFid, earlyStop = true))
+          _.flatMap(Drivers.dSeqRecords(_, fst, dict, maxFid)))(
+          Drivers.dSeqMine(_, _, fst, dict, sigma, maxFid))
         val dCand = TestGen.minePivotsLocally(db)(
-          Drivers.dCandTask(_, fst, dict, maxFid, maxNodes = 1 << 20, minimize = true, aggregate = true))(
+          Drivers.dCandTask(_, fst, dict, maxFid, maxNodes = 1 << 20))(
           Drivers.dCandMine(_, _, sigma))
         cases += 1
         if (want.get.nonEmpty) nonEmpty += 1

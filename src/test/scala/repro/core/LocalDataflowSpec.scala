@@ -3,8 +3,7 @@ package repro.core
 import repro.{SparkSpec, TestGen}
 
 /** The D-SEQ and D-CAND drivers on local-mode Spark against brute force and
-  * each other, over more seeds, thresholds and ablation flags than
-  * `DriversSpec`.
+  * each other, over more seeds and thresholds than `DriversSpec`.
   */
 class LocalDataflowSpec extends SparkSpec {
 
@@ -15,16 +14,6 @@ class LocalDataflowSpec extends SparkSpec {
         val want = BruteForce.mine(dbr, patex, sigma, d)
         assert(dSeq(dbr, d, patex, sigma) == want, s"sigma=$sigma")
       }
-    }
-  }
-
-  for ((name, patex) <- TestGen.patterns.take(6); seed <- Seq(53)) {
-    test(s"D-SEQ ablations (no rewrite / no early stop) == brute force [$name]") {
-      val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(seed), TestGen.toyParents)
-      val sigma = 2L
-      val want = BruteForce.mine(dbr, patex, sigma, d)
-      assert(dSeq(dbr, d, patex, sigma, rewrite = false) == want, "no rewrite")
-      assert(dSeq(dbr, d, patex, sigma, earlyStop = false) == want, "no early stop")
     }
   }
 

@@ -74,14 +74,4 @@ class NfaMinerSpec extends SparkSpec {
       }
     }
   }
-
-  for ((name, patex) <- TestGen.patterns.take(6); seed <- Seq(43)) {
-    test(s"D-CAND without aggregation or minimization == brute force [$name, seed=$seed]") {
-      val (d, dbr) = TestGen.encodeLocal(TestGen.randomDb(seed, nSeqs = 15), TestGen.toyParents)
-      val sigma = 2L
-      val want = BruteForce.mine(dbr, patex, sigma, d)
-      assert(dCand(dbr, d, patex, sigma, aggregate = false) == want, "no agg")
-      assert(dCand(dbr, d, patex, sigma, minimizeNfas = false) == want, "no minimize")
-    }
-  }
 }

@@ -249,7 +249,6 @@ class PivotSearchSpec extends AnyFunSuite {
       assert(t.distinct.length == candidates)
       val g = grid(t, f, d100, d100.size)
       assert(g.pivots.toSet == repro.fst.FstSimulator.candidates(t, f, d100).map(_.max), s"$candidates candidates")
-      assert(pivots(t, f, d100, d100.size).toSeq == g.pivots.toSeq)
       val got = g.pivots.indices.map(p => g.pivots(p) -> (g.first(p), g.last(p))).toMap
       assert(got == TestGen.bruteWindows(t, f, d100, d100.size), s"$candidates candidates")
     }
@@ -281,7 +280,6 @@ class PivotSearchSpec extends AnyFunSuite {
         val g = grid(t, f, d, maxFid)
         val want = TestGen.brutePivots(t, f, d, maxFid)
         assert(g.pivots.toSet == want, s"t=${t.map(d.name).mkString(" ")} sigma=$sigma")
-        assert(pivots(t, f, d, maxFid).toSeq == g.pivots.toSeq, s"pivots, t=${t.map(d.name).mkString(" ")} sigma=$sigma")
       }
     }
 
